@@ -45,6 +45,20 @@ class ParseError(ValueError):
     pass
 
 
+class UsageError(ValueError):
+    """Arguments or file contents outside what the command is defined for."""
+
+
+# the least k and the least n - k each analyze mode is defined for
+MODE_K = {"regular": (1, 1), "irregular": (1, 0), "characteristics": (2, 2), "degree": (1, 1)}
+
+
+def _check_dims(what, n, *ks):
+    for k in ks:
+        if not 0 <= k <= n:
+            raise ParseError(f"bad {what} header: k={k} outside 0..{n}")
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -73,6 +87,7 @@ def read_plane_set(fp):
         space = Space.get(q, n)
     except (UnsupportedOrderError, TooLargeError) as exc:
         raise ParseError(str(exc)) from None
+    _check_dims("plane-set", n, k)
     gr = space.grassmannian(k)
     blocks = []
     block = []
@@ -132,6 +147,7 @@ def read_map_table(fp):
         space = Space.get(q, n)
     except (UnsupportedOrderError, TooLargeError) as exc:
         raise ParseError(str(exc)) from None
+    _check_dims("map-table", n, k, k2)
     domain = space.grassmannian(k)
     codomain = space.grassmannian(k2)
     try:
@@ -183,6 +199,8 @@ def _system_cert(system):
 def cmd_enumerate(args):
     t0 = time.time()
     space = Space.get(args.q, args.n)
+    if not 0 <= args.k <= args.n:
+        raise UsageError(f"--k {args.k} outside 0..{args.n}")
     gr = space.grassmannian(args.k)
     params = {"q": args.q, "n": args.n, "k": args.k}
     verdicts = [f"count {len(gr)}"]
@@ -197,6 +215,10 @@ def cmd_analyze(args):
     t0 = time.time()
     with open(args.infile) as fp:
         ps = read_plane_set(fp)
+    n, k = ps.gr.n, ps.gr.k
+    low, gap = MODE_K[args.mode]
+    if not low <= k <= n - gap:
+        raise UsageError(f"--mode {args.mode} needs {low} <= k <= {n - gap} at n={n}; the file has k={k}")
     params = {"in": args.infile, "mode": args.mode}
     certificates = {}
     verdicts = []
@@ -258,6 +280,8 @@ def cmd_classify(args):
     if gmap.codomain.k != k:
         _emit("classify", params, ["error classification needs a transformation (k2 = k)"], t0=t0)
         return 2
+    if not (n >= 3 and 1 <= k <= n - 1):
+        raise UsageError(f"classification needs n >= 3 and 1 <= k <= n-1; the file has n={n}, k={k}")
     try:
         if 1 < k < n - 1:
             result = chow_classify(space, gmap)
@@ -337,11 +361,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="analyze a plane-set file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
-        "--mode",
-        choices=["regular", "irregular", "characteristics", "degree"],
-        default="regular",
-    )
+    p.add_argument("--mode", choices=list(MODE_K), default="regular")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("classify", help="classify a map-table file")
@@ -377,10 +397,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse-error {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedOrderError, TooLargeError) as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UnsupportedOrderError, TooLargeError, UsageError, OSError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
 

@@ -264,9 +264,6 @@ class SymplecticBasis:
     def vectors(self):
         return self.x + self.y
 
-    def change_of_basis(self, field):
-        return Mat(field, self.vectors())
-
 
 def restricted_gram(form, u):
     """Gram of the form restricted to the rows of u's basis."""

@@ -302,12 +302,12 @@ class Space:
 
     def line_join_index(self, line_indices, k):
         """G_k index of the join of the given lines, or None if dim < k."""
-        key = tuple(sorted(line_indices))
+        key = (k, tuple(sorted(line_indices)))
         memo = self._join_memo
         if key in memo:
             return memo[key]
         g1 = self.grassmannian(1)
-        rows = tuple(g1[i].rows[0] for i in key)
+        rows = tuple(g1[i].rows[0] for i in key[1])
         s = Subspace.span(self.field, self.n, rows)
         idx = self.grassmannian(k).index(s) if s.k == k else None
         memo[key] = idx
@@ -325,10 +325,6 @@ class Space:
                     d[i][j] = d[j][i] = dij
             self._dist[k] = d
         return d
-
-    def all_vectors(self):
-        """All q^n coordinate vectors in code order (most significant first)."""
-        return product(self.field.elements, repeat=self.n)
 
     def __repr__(self):
         return f"Space(GF({self.field.q})^{self.n})"
@@ -433,9 +429,6 @@ class GrassmannMap:
 
     def apply(self, s):
         return self.codomain[self.table[self.domain.index(s)]]
-
-    def apply_index(self, i):
-        return self.table[i]
 
     def apply_set(self, ps):
         if ps.gr is not self.domain and ps.gr._index != self.domain._index:

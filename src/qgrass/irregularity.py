@@ -20,6 +20,7 @@ from .grassmann import (
     meet,
 )
 from .linalg import EchelonBasis, Mat
+from .maps import SemilinearMap, induced_map
 from .regularity import CoordinateSystem, is_regular
 
 STATUS_REGULAR = "regular-in-sub"
@@ -367,20 +368,34 @@ class Similarity:
     reason: str
 
 
+def _independent_rows(field, n, pools):
+    """Yield every n-tuple of independent vectors of F^n whose i-th vector is
+    drawn from pools[i], depth-first in pool order.
+
+    The span of the rows chosen so far is kept as a set of vectors, so each
+    candidate costs one lookup instead of a row reduction."""
+    elements, add, mul = field.elements, field.add, field._mul
+
+    def rec(rows, span):
+        last = len(rows) == n - 1
+        for v in pools[len(rows)]:
+            if v in span:
+                continue
+            if last:
+                yield rows + (v,)
+            else:
+                wider = {
+                    tuple(add(x, mul[a][y]) for x, y in zip(u, v)) for u in span for a in elements
+                }
+                yield from rec(rows + (v,), wider)
+
+    return rec((), {(0,) * n})
+
+
 def _invertible_matrices(field, n):
     """All invertible n x n matrices in ascending row-code order."""
     vectors = list(product(field.elements, repeat=n))
-
-    def rec(rows, basis):
-        if len(rows) == n:
-            yield Mat(field, rows)
-            return
-        for v in vectors:
-            nb = basis.copy()
-            if nb.add(v):
-                yield from rec(rows + (v,), nb)
-
-    yield from rec((), EchelonBasis(field))
+    return (Mat(field, rows) for rows in _independent_rows(field, n, [vectors] * n))
 
 
 def _matrices_mapping(field, n, src, dst):
@@ -395,19 +410,47 @@ def _matrices_mapping(field, n, src, dst):
     dom_inv_t = dom.inv().transpose()
     dst_vecs = [v for v in dst.vectors() if any(v)]
     all_vecs = list(product(field.elements, repeat=n))
-    d = src.k
+    pools = [dst_vecs] * src.k + [all_vecs] * (n - src.k)
+    return (
+        Mat(field, rows).transpose().mul(dom_inv_t)
+        for rows in _independent_rows(field, n, pools)
+    )
 
-    def rec(rows, basis):
-        if len(rows) == n:
-            yield Mat(field, rows).transpose().mul(dom_inv_t)
-            return
-        pool = dst_vecs if len(rows) < d else all_vecs
-        for v in pool:
-            nb = basis.copy()
-            if nb.add(v):
-                yield from rec(rows + (v,), nb)
 
-    yield from rec((), EchelonBasis(field))
+def _image_indexer(space, k):
+    """A function taking the rows of an invertible matrix M and the rref rows
+    of a k-plane to the G_k index of the plane's image under v -> M v.
+
+    Coordinate i of the image of r is row_i . r, read from a table of v . r
+    over all v built once per r; the image vector's line comes from a
+    vector -> line table and the plane from the memoised line joins, so a
+    candidate matrix costs no row reduction."""
+    field = space.field
+    add, mul = field.add, field._mul
+    vectors = list(product(field.elements, repeat=space.n))
+    line_of = {
+        v: i for i, line in enumerate(space.grassmannian(1)) for v in line.vectors() if any(v)
+    }
+    join_index = space.line_join_index
+    dots = {}
+
+    def dot(v, r):
+        acc = 0
+        for x, y in zip(v, r):
+            if x and y:
+                acc = add(acc, mul[x][y])
+        return acc
+
+    def image_index(mrows, rows):
+        lines = []
+        for r in rows:
+            if r not in dots:
+                dots[r] = {v: dot(v, r) for v in vectors}
+            d = dots[r]
+            lines.append(line_of[tuple(d[row] for row in mrows)])
+        return join_index(lines, k)
+
+    return image_index
 
 
 def _fingerprint(plane_set):
@@ -450,23 +493,21 @@ def are_similar(left, right):
     if n == 5:
         return _similar_span_constrained(left, right)
 
-    gk = left.gr
-    left_members = left.members()
     right_set = right.iset
     form_post = None
     form_pre = None
     if n == 2 * k:
         form_post = form_map(space, standard_symplectic(space.field, n), k)
         form_pre = frozenset(form_post.inverse().table[j] for j in right_set)
-    from .maps import SemilinearMap, induced_map
+    image_index = _image_indexer(space, k)
+    left_rows = [s.rows for s in left.members()]
 
     for m in _invertible_matrices(space.field, n):
-        h = SemilinearMap(space.field, m)
         lin_ok = True
         frm_ok = form_pre is not None
         complete = True
-        for sub in left_members:
-            i = gk.index(h.apply_subspace(sub))
+        for rows in left_rows:
+            i = image_index(m.rows, rows)
             if lin_ok and i not in right_set:
                 lin_ok = False
             if frm_ok and i not in form_pre:
@@ -478,12 +519,11 @@ def are_similar(left, right):
             continue
         # images of distinct planes are distinct, so full containment at equal
         # sizes is already a bijection onto the target
+        witness = induced_map(space, SemilinearMap(space.field, m), k)
         if lin_ok:
-            return Similarity("yes", induced_map(space, h, k), "linear witness")
+            return Similarity("yes", witness, "linear witness")
         if frm_ok:
-            return Similarity(
-                "yes", form_post.compose(induced_map(space, h, k)), "form-composed witness"
-            )
+            return Similarity("yes", form_post.compose(witness), "form-composed witness")
     return Similarity("no", None, "regular transformation group exhausted")
 
 
@@ -506,13 +546,12 @@ def _similar_span_constrained(left, right):
         src, dst = cl.hyperplane_core, cr.hyperplane_core
     else:
         return Similarity("inconclusive", None, "no characteristic constraint available")
-    from .maps import SemilinearMap, induced_map
-
-    gk = left.gr
-    left_members = left.members()
+    image_index = _image_indexer(space, k)
+    left_rows = [s.rows for s in left.members()]
     right_set = right.iset
     for m in _matrices_mapping(space.field, n, src, dst):
-        h = SemilinearMap(space.field, m)
-        if all(gk.index(h.apply_subspace(sub)) in right_set for sub in left_members):
-            return Similarity("yes", induced_map(space, h, k), "linear witness")
+        if all(image_index(m.rows, rows) in right_set for rows in left_rows):
+            return Similarity(
+                "yes", induced_map(space, SemilinearMap(space.field, m), k), "linear witness"
+            )
     return Similarity("no", None, "span-constrained linear search exhausted")

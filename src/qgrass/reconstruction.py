@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 from .forms import standard_symplectic, form_map
 from .grassmann import GrassmannMap, Subspace
-from .linalg import Mat
+from .linalg import EchelonBasis, Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import maximal_regular_family
+from .regularity import _coordinate_system_indices, maximal_regular_family
 
 
 class NotIndependencePreservingError(ValueError):
@@ -261,38 +261,44 @@ def chow_classify(space, f):
 
 
 def regular_violation(space, f):
-    """A maximal regular set whose image or preimage is not one, or None."""
+    """A maximal regular set whose image or preimage is not one, or None.
+
+    Maximal regular sets are taken in the canonical order of the coordinate
+    systems.  On the line Grassmannian they are the n-sets of independent
+    lines, so the systems are walked lazily and each image and preimage is
+    tested for independence; other dimensions look the images up in the
+    cached family.
+    """
     k = f.domain.k
+    t, inv = f.table, f.inverse().table
+    if k == f.codomain.k == 1:
+        rows = [l.rows[0] for l in space.grassmannian(1)]
+
+        def independent(lines):
+            eb = EchelonBasis(space.field)
+            return all(eb.add(rows[i]) for i in lines)
+
+        for system in _coordinate_system_indices(space):
+            if not (independent(t[i] for i in system) and independent(inv[i] for i in system)):
+                return frozenset(system)
+        return None
     family = maximal_regular_family(space, k)
     fam_set = set(family)
-    inv = f.inverse().table
     for mr in family:
-        if frozenset(f.table[i] for i in mr) not in fam_set:
+        if frozenset(t[i] for i in mr) not in fam_set:
             return mr
         if frozenset(inv[i] for i in mr) not in fam_set:
             return mr
     return None
 
 
-def is_regular_transformation(space, f):
-    return regular_violation(space, f) is None
-
-
-def regular_classify(space, f):
-    """Classify a regular transformation of G_k.
-
-    Middle dimensions go through the adjacency-based classifier after a
-    direct distance-preservation check; k = 1 reconstructs directly; k = n-1
-    is conjugated to the line case by a form-defined bijection.
-    """
+def _reconstruct(space, f):
+    """Classify f by reconstruction alone: the adjacency-based classifier at
+    middle dimensions, direct reconstruction at k = 1, and at k = n-1
+    conjugation to the line case by a form-defined bijection."""
     k = f.domain.k
     n = space.n
-    witness = regular_violation(space, f)
-    if witness is not None:
-        raise NotRegularTransformationError(witness)
     if 1 < k < n - 1:
-        if not is_distance_preserving(space, f):
-            raise RuntimeError("regular transformation fails distance preservation")
         return chow_classify(space, f)
     if k == 1:
         h = ftpg_reconstruct(space, f)
@@ -308,3 +314,41 @@ def regular_classify(space, f):
             return ClassificationResult("not_classifiable", witness=("conjugation mismatch",))
         return ClassificationResult("linear", map=h, verified=True)
     raise ValueError("classification needs 1 <= k <= n-1")
+
+
+def _try_reconstruct(space, f):
+    """(result, failure) of `_reconstruct`.  Every error a reconstruction can
+    raise is held back, because on an irregular table the scan's witness
+    takes precedence over it."""
+    try:
+        return _reconstruct(space, f), None
+    except (ValueError, RuntimeError) as exc:
+        return None, exc
+
+
+def is_regular_transformation(space, f):
+    result, _ = _try_reconstruct(space, f)
+    return (result is not None and result.verified) or regular_violation(space, f) is None
+
+
+def regular_classify(space, f):
+    """Classify a regular transformation of G_k.
+
+    The table is reconstructed first.  A verified reconstruction certifies
+    regularity: a semilinear map, alone or followed by a form map, carries
+    maximal regular sets to maximal regular sets both ways.  Only when the
+    reconstruction fails is the maximal regular family scanned, to name a
+    witness; without one the reconstruction's own outcome stands.
+    """
+    result, failure = _try_reconstruct(space, f)
+    if result is not None and result.verified:
+        return result
+    witness = regular_violation(space, f)
+    if witness is not None:
+        raise NotRegularTransformationError(witness)
+    if isinstance(failure, NotDistancePreservingError):
+        # a regular table that moves distances contradicts the theory
+        failure = RuntimeError("regular transformation fails distance preservation")
+    if failure is not None:
+        raise failure
+    return result

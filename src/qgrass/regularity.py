@@ -260,26 +260,33 @@ def hypergraph_view(plane_set, system):
     return out
 
 
+def _coordinate_system_indices(space):
+    """Yield the ascending line-index tuple of every coordinate system, in
+    canonical order, without materialising the list."""
+    g1 = space.grassmannian(1)
+    nlines = len(g1)
+    n = space.n
+
+    def rec(start, chosen, basis):
+        if len(chosen) == n:
+            yield chosen
+            return
+        slots = n - len(chosen)
+        for t in range(start, nlines - slots + 1):
+            nb = basis.copy()
+            if nb.add(g1[t].rows[0]):
+                yield from rec(t + 1, chosen + (t,), nb)
+
+    return rec(0, (), EchelonBasis(space.field))
+
+
 def all_coordinate_systems(space):
     """Every coordinate system of the space, canonically ordered (cached)."""
     if space._systems is None:
-        g1 = space.grassmannian(1)
-        nlines = len(g1)
-        n = space.n
-        out = []
-
-        def rec(start, chosen, basis):
-            if len(chosen) == n:
-                out.append(tuple(chosen))
-                return
-            slots = n - len(chosen)
-            for t in range(start, nlines - slots + 1):
-                nb = basis.copy()
-                if nb.add(g1[t].rows[0]):
-                    rec(t + 1, chosen + (t,), nb)
-
-        rec(0, (), EchelonBasis(space.field))
-        space._systems = [CoordinateSystem.from_line_indices(space, idxs) for idxs in out]
+        space._systems = [
+            CoordinateSystem.from_line_indices(space, idxs)
+            for idxs in _coordinate_system_indices(space)
+        ]
     return space._systems
 
 

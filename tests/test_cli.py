@@ -226,3 +226,44 @@ def test_reports_deterministic(tmp_path, capsys):
     main(["analyze", "--in", str(path), "--mode", "characteristics"])
     second = capsys.readouterr().out
     assert first == second
+
+
+
+LINE = "planeset 2 4 1 1\n\n1 0 0 0\n"
+SWAPPED_LINES = "maptable 2 3 1 1\n1\n0\n" + "".join(f"{i}\n" for i in range(2, 7))
+
+
+@pytest.mark.parametrize(
+    "argv,files,code",
+    [
+        pytest.param(["enumerate", "--q", "2", "--n", "4", "--k", "7"], {}, 2, id="enumerate-k-above-n"),
+        pytest.param(["enumerate", "--q", "2", "--n", "4", "--k", "-1"], {}, 2, id="enumerate-k-negative"),
+        pytest.param(["analyze", "--in", "{f}"], {"f": "planeset 2 4 9 0\n"}, 2, id="planeset-header-k"),
+        pytest.param(["classify", "--in", "{f}"], {"f": "maptable 2 4 9 9\n"}, 2, id="maptable-header-k"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "characteristics"], {"f": LINE}, 2,
+                     id="characteristics-of-lines"),
+        pytest.param(["analyze", "--in", "{f}"], {"f": "planeset 2 4 0 0\n"}, 2, id="regular-at-k0"),
+        pytest.param(["classify", "--in", "{f}"], {"f": "maptable 2 2 1 1\n0\n1\n2\n"}, 2,
+                     id="classify-projective-line"),
+        pytest.param(["analyze", "--in", "{f}"], {"f": None}, 2, id="analyze-directory"),
+        pytest.param(["classify", "--in", "{f}"], {"f": None}, 2, id="classify-directory"),
+        pytest.param(["analyze", "--in", "{missing}"], {}, 2, id="missing-file"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "degree"], {"f": LINE}, 0, id="degree-of-a-line"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "degree"],
+                     {"f": "planeset 2 3 1 3\n\n1 0 0\n\n0 1 0\n\n1 1 0\n"}, 1, id="degree-not-regular"),
+        pytest.param(["classify", "--in", "{f}"], {"f": SWAPPED_LINES}, 1, id="classify-corrupted"),
+    ],
+)
+def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, code):
+    names = {"missing": str(tmp_path / "missing")}
+    for name, text in files.items():
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        names[name] = str(path)
+    assert main([a.format(**names) for a in argv]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -1,0 +1,316 @@
+"""Differential tests of the transformation layer's fast paths.
+
+The certify-first classifier, the lazy walk over line coordinate systems and
+the row-reduction-free similarity search are compared with the scan-first and
+per-matrix implementations they replaced, which are kept here as reference
+oracles.
+"""
+
+import functools
+import random
+from itertools import permutations, product
+
+import pytest
+
+from qgrass.forms import BilinearForm, dot_form, form_map, standard_symplectic
+from qgrass.grassmann import GrassmannMap, PlaneSet, Space, meet
+from qgrass.harness import random_invertible, random_semilinear
+from qgrass.irregularity import (
+    Similarity,
+    _fingerprint,
+    _invertible_matrices,
+    _matrices_mapping,
+    are_similar,
+    characteristics,
+    deficient_irregular,
+    deficient_irregular_dual,
+    planes_meeting,
+)
+from qgrass.linalg import EchelonBasis, Mat
+from qgrass.maps import SemilinearMap, induced_map
+from qgrass.reconstruction import (
+    ClassificationResult,
+    NotRegularTransformationError,
+    chow_classify,
+    ftpg_reconstruct,
+    is_distance_preserving,
+    is_regular_transformation,
+    regular_classify,
+    regular_violation,
+)
+from qgrass.regularity import maximal_regular_family
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def family_violation(space, f):
+    """Scan of the whole maximal regular family, in canonical order."""
+    family = maximal_regular_family(space, f.domain.k)
+    fam_set = set(family)
+    inv = f.inverse().table
+    for mr in family:
+        if frozenset(f.table[i] for i in mr) not in fam_set:
+            return mr
+        if frozenset(inv[i] for i in mr) not in fam_set:
+            return mr
+    return None
+
+
+def scan_first_classify(space, f):
+    """The classifier that scans the family before it reconstructs."""
+    k = f.domain.k
+    n = space.n
+    witness = family_violation(space, f)
+    if witness is not None:
+        raise NotRegularTransformationError(witness)
+    if 1 < k < n - 1:
+        if not is_distance_preserving(space, f):
+            raise RuntimeError("regular transformation fails distance preservation")
+        return chow_classify(space, f)
+    if k == 1:
+        return ClassificationResult("linear", map=ftpg_reconstruct(space, f), verified=True)
+    if k == n - 1:
+        g = form_map(space, dot_form(space.field, n), n - 1)
+        h1 = ftpg_reconstruct(space, g.compose(f).compose(g.inverse()))
+        h = SemilinearMap(space.field, h1.matrix.transpose().inv(), h1.sigma)
+        if induced_map(space, h, n - 1) != f:
+            return ClassificationResult("not_classifiable", witness=("conjugation mismatch",))
+        return ClassificationResult("linear", map=h, verified=True)
+    raise ValueError("classification needs 1 <= k <= n-1")
+
+
+def echelon_rows(field, n, pools):
+    """Independent row tuples, each candidate tested by an echelon basis."""
+
+    def rec(rows, basis):
+        if len(rows) == n:
+            yield rows
+            return
+        for v in pools[len(rows)]:
+            nb = basis.copy()
+            if nb.add(v):
+                yield from rec(rows + (v,), nb)
+
+    yield from rec((), EchelonBasis(field))
+
+
+@functools.lru_cache(maxsize=None)
+def group_maps(q, n):
+    """SemilinearMap of every invertible matrix, in ascending row-code order."""
+    field = Space.get(q, n).field
+    vectors = list(product(field.elements, repeat=n))
+    return [SemilinearMap(field, Mat(field, rows)) for rows in echelon_rows(field, n, [vectors] * n)]
+
+
+def span_maps(field, n, src, dst):
+    """SemilinearMap of every invertible matrix carrying src onto dst."""
+    ext = []
+    eb = EchelonBasis(field, src.rows)
+    for v in Mat.identity(field, n).rows:
+        if eb.add(v):
+            ext.append(v)
+    dom_inv_t = Mat(field, tuple(src.rows) + tuple(ext)).inv().transpose()
+    dst_vecs = [v for v in dst.vectors() if any(v)]
+    all_vecs = list(product(field.elements, repeat=n))
+    pools = [dst_vecs] * src.k + [all_vecs] * (n - src.k)
+    for rows in echelon_rows(field, n, pools):
+        yield SemilinearMap(field, Mat(field, rows).transpose().mul(dom_inv_t))
+
+
+def matrix_loop_similar(left, right):
+    """Similarity with a SemilinearMap and one apply_subspace per member for
+    every candidate matrix; the invariant filters are the library's own."""
+    space = left.gr.space
+    n, k = left.gr.n, left.gr.k
+    if len(left) != len(right):
+        return Similarity("no", None, "sizes differ")
+    if 1 < k < n - 1:
+        cl, cr = characteristics(left), characteristics(right)
+        pl = (cl.line_span_dim, cl.hyperplane_core_dim)
+        pr = (cr.line_span_dim, cr.hyperplane_core_dim)
+        if n != 2 * k:
+            if pl != pr:
+                return Similarity("no", None, f"characteristics differ: {pl} vs {pr}")
+        elif pl != pr and pl != (n - pr[1], n - pr[0]):
+            return Similarity(
+                "no", None, f"characteristics differ even up to duality: {pl} vs {pr}"
+            )
+    if _fingerprint(left) != _fingerprint(right):
+        return Similarity("no", None, "pairwise distance multisets differ")
+    gk = left.gr
+    left_members = left.members()
+    right_set = right.iset
+    if n == 5:
+        src, dst = cl.line_span, cr.line_span   # set at the constructions compared here
+        for h in span_maps(space.field, n, src, dst):
+            if all(gk.index(h.apply_subspace(sub)) in right_set for sub in left_members):
+                return Similarity("yes", induced_map(space, h, k), "linear witness")
+        return Similarity("no", None, "span-constrained linear search exhausted")
+    form_post = form_pre = None
+    if n == 2 * k:
+        form_post = form_map(space, standard_symplectic(space.field, n), k)
+        form_pre = frozenset(form_post.inverse().table[j] for j in right_set)
+    for h in group_maps(space.field.q, n):
+        lin_ok = True
+        frm_ok = form_pre is not None
+        complete = True
+        for sub in left_members:
+            i = gk.index(h.apply_subspace(sub))
+            if lin_ok and i not in right_set:
+                lin_ok = False
+            if frm_ok and i not in form_pre:
+                frm_ok = False
+            if not lin_ok and not frm_ok:
+                complete = False
+                break
+        if not complete:
+            continue
+        if lin_ok:
+            return Similarity("yes", induced_map(space, h, k), "linear witness")
+        return Similarity(
+            "yes", form_post.compose(induced_map(space, h, k)), "form-composed witness"
+        )
+    return Similarity("no", None, "regular transformation group exhausted")
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def outcome(classify, space, f):
+    """Kind, map, form, verification and witness of a classification, or the
+    type, message and witness of the error it raised."""
+    try:
+        r = classify(space, f)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return r.kind, r.map, None if r.form is None else r.form.gram, r.verified, r.witness
+
+
+def similarity(sim):
+    return sim.kind, sim.reason, None if sim.witness is None else sim.witness.table
+
+
+def linear_tables(space, k):
+    """Every transformation table of G_k induced by an invertible matrix."""
+    g1 = space.grassmannian(1)
+    line_of = {v: i for i, line in enumerate(g1) for v in line.vectors() if any(v)}
+    planes = space.grassmannian(k)
+    return sorted(
+        {
+            tuple(space.line_join_index([line_of[m.apply(r)] for r in s.rows], k) for s in planes)
+            for m in _invertible_matrices(space.field, space.n)
+        }
+    )
+
+
+def transposed(table, rng):
+    a, b = rng.sample(range(len(table)), 2)
+    out = list(table)
+    out[a], out[b] = out[b], out[a]
+    return out
+
+
+def sampled_tables(space, k, count, rng):
+    """Tables of seeded semilinear maps, each composed with the form map of a
+    random nonsingular Gram matrix on every second draw when n = 2k."""
+    out = []
+    for i in range(count):
+        f = induced_map(space, random_semilinear(space, rng), k)
+        if space.n == 2 * k and i % 2:
+            gram = random_invertible(space.field, space.n, rng)
+            f = form_map(space, BilinearForm(space.field, gram), k).compose(f)
+        out.append(f.table)
+    return out
+
+
+# exhaustive where the group is small, seeded samples of GL(4, 2) otherwise
+@pytest.mark.parametrize(
+    "q,n,k,sample",
+    [(2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None), (2, 4, 1, 300), (2, 4, 2, 300), (2, 4, 3, 300)],
+)
+def test_certify_first_classifier_matches_scan_first(q, n, k, sample):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"classify:{q}:{n}:{k}")
+    if sample is None:
+        tables = linear_tables(space, k)
+    else:
+        tables = sampled_tables(space, k, sample, rng)
+    kinds = {}
+    for table in tables:
+        for t in (table, transposed(table, rng)):
+            f = GrassmannMap(gk, gk, t)
+            got = outcome(regular_classify, space, f)
+            assert got == outcome(scan_first_classify, space, f)
+            assert is_regular_transformation(space, f) == (got[0] is not NotRegularTransformationError)
+            kinds[got[0]] = kinds.get(got[0], 0) + 1
+    # every induced table is classified, every corruption rejected with a witness
+    assert kinds.get("linear", 0) + kinds.get("form_composed", 0) == len(tables)
+    assert kinds[NotRegularTransformationError] == len(tables)
+
+
+def test_line_walk_matches_family_scan():
+    space = Space.get(2, 3)
+    g1 = space.grassmannian(1)
+    regular = 0
+    for perm in permutations(range(len(g1))):
+        f = GrassmannMap(g1, g1, perm)
+        witness = regular_violation(space, f)
+        assert witness == family_violation(space, f)
+        regular += witness is None
+    assert regular == 168  # |GL(3, 2)|
+
+
+def test_enumerators_match_echelon_reference():
+    for q, n in ((2, 2), (2, 3), (3, 3), (4, 2), (2, 4)):
+        field = Space.get(q, n).field
+        got = [m.rows for m in _invertible_matrices(field, n)]
+        assert got == [h.matrix.rows for h in group_maps(q, n)]
+    space = Space.get(2, 4)
+    for ks, kd, i, j in ((1, 1, 0, 9), (2, 2, 3, 20), (3, 3, 1, 7)):
+        src, dst = space.grassmannian(ks)[i], space.grassmannian(kd)[j]
+        got = [m.rows for m in _matrices_mapping(space.field, 4, src, dst)]
+        assert got == [h.matrix.rows for h in span_maps(space.field, 4, src, dst)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_similarity_search_matches_matrix_loop(k):
+    space = Space.get(2, 4)
+    gk = space.grassmannian(k)
+    fm = form_map(space, standard_symplectic(space.field, 4), k) if k == 2 else None
+    rng = random.Random(f"similar:{k}")
+    reasons = set()
+    for i in range(50):
+        size = rng.randint(2, 3)
+        left = PlaneSet(gk, rng.sample(range(len(gk)), size))
+        right = PlaneSet(gk, rng.sample(range(len(gk)), size))
+        g = induced_map(space, random_semilinear(space, rng), k)
+        if fm is not None and i % 2:
+            g = fm.compose(g)
+        for a, b in ((left, right), (left, g.apply_set(left))):
+            got = similarity(are_similar(a, b))
+            assert got == similarity(matrix_loop_similar(a, b))
+            reasons.add(got[1])
+    # every verdict the search can reach at this k occurs
+    assert "linear witness" in reasons
+    if k == 2:
+        assert {"form-composed witness", "pairwise distance multisets differ"} <= reasons
+    else:
+        assert "regular transformation group exhausted" in reasons
+
+
+def test_similarity_search_matches_matrix_loop_on_constructions_at_n5():
+    space = Space.get(2, 5)
+    s1 = space.grassmannian(3)[0]
+    i1 = planes_meeting(space, s1, 2)
+    s2 = space.grassmannian(2)[0]
+    t2 = next(t for t in space.grassmannian(3) if meet(s2, t).k == 0)
+    i2 = deficient_irregular(space, s2, t2).result
+    s3 = space.grassmannian(4)[0]
+    t3 = next(t for t in space.grassmannian(1) if meet(s3, t).k == 0)
+    i3 = deficient_irregular_dual(space, s3, t3).result
+    for a, b in ((i1, i2), (i1, i3), (i2, i3)):
+        assert similarity(are_similar(a, b)) == similarity(matrix_loop_similar(a, b))
+    assert are_similar(i2, i3).reason == "linear witness"

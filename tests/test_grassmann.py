@@ -184,6 +184,17 @@ def test_incidence_set_counts():
     assert len(incidence_set(space, full, 2)) == 35
 
 
+def test_line_join_index_memo_is_keyed_on_k():
+    # fresh spaces, so each query order starts from an empty memo
+    for n in (3, 4):
+        for order in ((1, 2, 3), (3, 2, 1)):
+            space = Space(field(2), n)
+            lines = space.incidence(1, 2)[0]
+            for k in order:
+                assert space.line_join_index(lines, k) == (0 if k == 2 else None)
+                assert space.line_join_index(lines[:1], k) == (lines[0] if k == 1 else None)
+
+
 def test_incidence_set_equal_dim_rejected():
     space = sp(2, 4)
     with pytest.raises(ValueError):
