@@ -25,8 +25,8 @@ import sys
 import time
 
 from .gf import UnsupportedOrderError
-from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError
-from .harness import CHECKS, InfeasibleScopeError, run_check
+from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, gaussian_binomial
+from .harness import CHECKS, InfeasibleScopeError, _subspace_cert, run_check
 from .irregularity import characteristics, is_irregular, is_maximal_irregular
 from .reconstruction import (
     AutomorphismMismatchError,
@@ -50,7 +50,7 @@ class UsageError(ValueError):
 
 
 # the least k and the least n - k each analyze mode is defined for
-MODE_K = {"regular": (1, 1), "irregular": (1, 0), "characteristics": (2, 2), "degree": (1, 1)}
+MODE_K = {"regular": (1, 1), "irregular": (1, 1), "characteristics": (2, 2), "degree": (1, 1)}
 
 
 def _check_dims(what, n, *ks):
@@ -184,10 +184,6 @@ def _emit(command, params, verdicts, certificates=None, counterexample=None, t0=
         print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
 
 
-def _subspace_cert(s):
-    return [list(r) for r in s.rows]
-
-
 def _system_cert(system):
     return [_subspace_cert(l)[0] for l in system.lines]
 
@@ -201,12 +197,15 @@ def cmd_enumerate(args):
     space = Space.get(args.q, args.n)
     if not 0 <= args.k <= args.n:
         raise UsageError(f"--k {args.k} outside 0..{args.n}")
-    gr = space.grassmannian(args.k)
     params = {"q": args.q, "n": args.n, "k": args.k}
-    verdicts = [f"count {len(gr)}"]
     certificates = {}
-    if not args.count_only:
+    if args.count_only:
+        count = gaussian_binomial(args.n, args.k, args.q)
+    else:
+        gr = space.grassmannian(args.k)
+        count = len(gr)
         certificates["planes"] = [_subspace_cert(s) for s in gr]
+    verdicts = [f"count {count}"]
     _emit("enumerate", params, verdicts, certificates, t0=t0)
     return 0
 

@@ -15,6 +15,7 @@ from .gf import field as get_field
 from .linalg import EchelonBasis, Mat, _rref_rows
 
 MAX_AMBIENT_DIM = 6
+MAX_GRASSMANNIAN = 100_000   # planes; G_2(F_4^6), 93,093 planes, is the largest below it
 
 
 class TooLargeError(ValueError):
@@ -177,6 +178,11 @@ class Grassmannian:
         self.field = space.field
         self.n = space.n
         self.k = k
+        size = gaussian_binomial(self.n, k, self.field.q)
+        if size > MAX_GRASSMANNIAN:
+            raise TooLargeError(
+                f"G_{k}(F_{self.field.q}^{self.n}) has {size} planes, above {MAX_GRASSMANNIAN}"
+            )
         self.members = sorted(_generate_rref(space.field, space.n, k), key=Subspace.key)
         self._index = {s: i for i, s in enumerate(self.members)}
 
@@ -235,6 +241,8 @@ class Space:
         self._grassmannians = {}
         self._incidence = {}
         self._join_memo = {}
+        self._thirds = {}
+        self._vector_lines = None
         self._dist = {}
         self._systems = None
 
@@ -274,16 +282,11 @@ class Space:
         table = self._incidence.get(key)
         if table is not None:
             return table
-        gk, gm = self.grassmannian(k), self.grassmannian(m)
+        gm = self.grassmannian(m)
         if k == 1 and m >= 1:
             # lines of each plane, read off directly from the plane's vectors
-            table = []
-            for s in gm:
-                lines = set()
-                for v in s.vectors():
-                    if any(v):
-                        lines.add(gk.index(Subspace.span(self.field, self.n, (v,))))
-                table.append(tuple(sorted(lines)))
+            line_of = self.vector_lines()
+            table = [tuple(sorted({line_of[v] for v in s.vectors() if any(v)})) for s in gm]
         else:
             small, big = (k, m) if k < m else (m, k)
             gs, gb = self.grassmannian(small), self.grassmannian(big)
@@ -312,6 +315,46 @@ class Space:
         idx = self.grassmannian(k).index(s) if s.k == k else None
         memo[key] = idx
         return idx
+
+    def span_with(self, mask, points, t):
+        """Extend the span of some lines by the line t outside it.
+
+        A span is held as a bitmask over G_1 indices plus the tuple of those
+        indices.  The new points are t and, for each point u already in the
+        span, the q - 1 other points of the projective line tu; these sets
+        are disjoint, so no dedupe is needed.  The third points of each
+        (u, t) are computed once per space, when first asked for.
+        """
+        thirds = self._thirds
+        bits = 1 << t
+        new = [t]
+        for u in points:
+            hit = thirds.get((u, t))
+            if hit is None:
+                hit = thirds[(u, t)] = self._third_points(u, t)
+            bits |= hit[0]
+            new += hit[1]
+        return mask | bits, points + tuple(new)
+
+    def _third_points(self, u, t):
+        """(bitmask, indices) of the points t + c u, c != 0, of the line tu."""
+        g1 = self.grassmannian(1)
+        line_of = self.vector_lines()
+        add, mul = self.field._add, self.field._mul
+        a, b = g1[u].rows[0], g1[t].rows[0]
+        pts = tuple(
+            line_of[tuple(add[y][mul[c][x]] for x, y in zip(a, b))] for c in range(1, self.field.q)
+        )
+        return sum(1 << p for p in pts), pts
+
+    def vector_lines(self):
+        """Dict from each nonzero vector of F^n to the G_1 index of its line
+        (cached)."""
+        if self._vector_lines is None:
+            self._vector_lines = {
+                v: i for i, line in enumerate(self.grassmannian(1)) for v in line.vectors() if any(v)
+            }
+        return self._vector_lines
 
     def distance_matrix(self, k):
         d = self._dist.get(k)

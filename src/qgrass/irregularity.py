@@ -39,43 +39,46 @@ def _systems_within(space, k, allowed, forced=None):
     coordinate plane; its own join is exempt from the membership test).
 
     Pruned as soon as a completed k-subset of chosen lines joins outside the
-    allowed set, so searches over irregular sets die early.
+    allowed set, so searches over irregular sets die early.  The span of the
+    chosen lines is carried as a point bitmask (`Space.span_with`), so a
+    candidate line is independent exactly when its bit is clear.
     """
-    g1 = space.grassmannian(1)
-    nlines = len(g1)
+    nlines = len(space.grassmannian(1))
     n = space.n
     join_idx = space.line_join_index
+    span_with = space.span_with
 
-    def extend(chosen, basis, candidates, start):
+    def extend(chosen, mask, points, candidates, start):
         if len(chosen) == n:
             yield tuple(sorted(chosen))
             return
         slots = n - len(chosen)
         for ci in range(start, len(candidates) - slots + 1):
             t = candidates[ci]
-            nb = basis.copy()
-            if not nb.add(g1[t].rows[0]):
+            if mask >> t & 1:
                 continue
             ok = True
             for sub in combinations(chosen, k - 1):
-                ji = join_idx(sub + (t,), k)
-                if ji is None or ji not in allowed:
+                if join_idx(sub + (t,), k) not in allowed:
                     ok = False
                     break
             if ok:
-                yield from extend(chosen + (t,), nb, candidates, ci + 1)
+                yield from extend(chosen + (t,), *span_with(mask, points, t), candidates, ci + 1)
 
     if forced is None:
-        yield from extend((), EchelonBasis(space.field), tuple(range(nlines)), 0)
+        yield from extend((), 0, (), tuple(range(nlines)), 0)
         return
     lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
     inside = set(lines_in)
     others = tuple(t for t in range(nlines) if t not in inside)
     for base in combinations(lines_in, k):
-        eb = EchelonBasis(space.field)
-        if not all(eb.add(g1[t].rows[0]) for t in base):
-            continue
-        yield from extend(tuple(base), eb, others, 0)
+        mask, points = 0, ()
+        for t in base:
+            if mask >> t & 1:
+                break
+            mask, points = span_with(mask, points, t)
+        else:
+            yield from extend(base, mask, points, others, 0)
 
 
 def contains_maximal_regular(plane_set):
@@ -428,9 +431,7 @@ def _image_indexer(space, k):
     field = space.field
     add, mul = field.add, field._mul
     vectors = list(product(field.elements, repeat=space.n))
-    line_of = {
-        v: i for i, line in enumerate(space.grassmannian(1)) for v in line.vectors() if any(v)
-    }
+    line_of = space.vector_lines()
     join_index = space.line_join_index
     dots = {}
 

@@ -262,22 +262,23 @@ def hypergraph_view(plane_set, system):
 
 def _coordinate_system_indices(space):
     """Yield the ascending line-index tuple of every coordinate system, in
-    canonical order, without materialising the list."""
-    g1 = space.grassmannian(1)
-    nlines = len(g1)
+    canonical order, without materialising the list.  The span of the chosen
+    lines is a point bitmask (`Space.span_with`)."""
+    nlines = len(space.grassmannian(1))
     n = space.n
+    span_with = space.span_with
 
-    def rec(start, chosen, basis):
-        if len(chosen) == n:
-            yield chosen
-            return
+    def rec(start, chosen, mask, points):
         slots = n - len(chosen)
         for t in range(start, nlines - slots + 1):
-            nb = basis.copy()
-            if nb.add(g1[t].rows[0]):
-                yield from rec(t + 1, chosen + (t,), nb)
+            if mask >> t & 1:
+                continue
+            if slots == 1:
+                yield chosen + (t,)
+            else:
+                yield from rec(t + 1, chosen + (t,), *span_with(mask, points, t))
 
-    return rec(0, (), EchelonBasis(space.field))
+    return rec(0, (), 0, ())
 
 
 def all_coordinate_systems(space):

@@ -93,6 +93,16 @@ def test_cmd_enumerate_full_list(capsys):
 def test_cmd_enumerate_too_large(capsys):
     assert main(["enumerate", "--q", "2", "--n", "7", "--k", "2"]) == 2
     assert main(["enumerate", "--q", "6", "--n", "3", "--k", "1"]) == 2
+    assert main(["enumerate", "--q", "16", "--n", "6", "--k", "3"]) == 2
+    assert "above" in capsys.readouterr().err
+
+
+def test_cmd_enumerate_count_only_by_formula(capsys):
+    assert main(["enumerate", "--q", "16", "--n", "6", "--k", "3", "--count-only"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count 73605001745"
+    for argv in (["--count-only"], []):
+        assert main(["enumerate", "--q", "3", "--n", "4", "--k", "2"] + argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "count 130"
 
 
 def test_cmd_analyze_regular(tmp_path, capsys):
@@ -252,6 +262,13 @@ SWAPPED_LINES = "maptable 2 3 1 1\n1\n0\n" + "".join(f"{i}\n" for i in range(2, 
         pytest.param(["analyze", "--in", "{f}", "--mode", "degree"],
                      {"f": "planeset 2 3 1 3\n\n1 0 0\n\n0 1 0\n\n1 1 0\n"}, 1, id="degree-not-regular"),
         pytest.param(["classify", "--in", "{f}"], {"f": SWAPPED_LINES}, 1, id="classify-corrupted"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "irregular"],
+                     {"f": "planeset 2 4 4 1\n\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"}, 2,
+                     id="irregular-at-k-equal-n"),
+        pytest.param(["analyze", "--in", "{f}"], {"f": "planeset 16 6 3 0\n"}, 2, id="planeset-huge"),
+        pytest.param(["classify", "--in", "{f}"], {"f": "maptable 16 6 3 3\n"}, 2, id="maptable-huge"),
+        pytest.param(["verify", "--theorem", "prop-1.4.2", "--q", "16", "--n", "6", "--k", "3"], {}, 3,
+                     id="verify-huge-outside-envelope"),
     ],
 )
 def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, code):

@@ -1,19 +1,21 @@
-"""Differential tests of the transformation layer's fast paths.
+"""Differential tests of the fast paths.
 
 The certify-first classifier, the lazy walk over line coordinate systems and
 the row-reduction-free similarity search are compared with the scan-first and
-per-matrix implementations they replaced, which are kept here as reference
+per-matrix implementations they replaced; the coordinate-system searches that
+carry spans as point bitmasks are compared with the echelon-basis searches
+they replaced.  The replaced implementations are kept here as reference
 oracles.
 """
 
 import functools
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from qgrass.forms import BilinearForm, dot_form, form_map, standard_symplectic
-from qgrass.grassmann import GrassmannMap, PlaneSet, Space, meet
+from qgrass.grassmann import GrassmannMap, PlaneSet, Space, gaussian_binomial, meet
 from qgrass.harness import random_invertible, random_semilinear
 from qgrass.irregularity import (
     Similarity,
@@ -22,8 +24,13 @@ from qgrass.irregularity import (
     _matrices_mapping,
     are_similar,
     characteristics,
+    complete_to_maximal_irregular,
+    completion_witness,
+    contains_maximal_regular,
     deficient_irregular,
     deficient_irregular_dual,
+    is_irregular,
+    planes_cohyperplanar,
     planes_meeting,
 )
 from qgrass.linalg import EchelonBasis, Mat
@@ -38,7 +45,7 @@ from qgrass.reconstruction import (
     regular_classify,
     regular_violation,
 )
-from qgrass.regularity import maximal_regular_family
+from qgrass.regularity import _coordinate_system_indices, maximal_regular_family
 
 # ---------------------------------------------------------------------------
 # reference oracles
@@ -78,6 +85,82 @@ def scan_first_classify(space, f):
             return ClassificationResult("not_classifiable", witness=("conjugation mismatch",))
         return ClassificationResult("linear", map=h, verified=True)
     raise ValueError("classification needs 1 <= k <= n-1")
+
+
+def echelon_systems_within(space, k, allowed, forced=None):
+    """Systems with every coordinate k-plane in `allowed`, each candidate line
+    tested against a copied echelon basis of the chosen ones."""
+    g1 = space.grassmannian(1)
+    nlines = len(g1)
+    n = space.n
+    join_idx = space.line_join_index
+
+    def extend(chosen, basis, candidates, start):
+        if len(chosen) == n:
+            yield tuple(sorted(chosen))
+            return
+        slots = n - len(chosen)
+        for ci in range(start, len(candidates) - slots + 1):
+            t = candidates[ci]
+            nb = basis.copy()
+            if not nb.add(g1[t].rows[0]):
+                continue
+            ok = True
+            for sub in combinations(chosen, k - 1):
+                ji = join_idx(sub + (t,), k)
+                if ji is None or ji not in allowed:
+                    ok = False
+                    break
+            if ok:
+                yield from extend(chosen + (t,), nb, candidates, ci + 1)
+
+    if forced is None:
+        yield from extend((), EchelonBasis(space.field), tuple(range(nlines)), 0)
+        return
+    lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
+    inside = set(lines_in)
+    others = tuple(t for t in range(nlines) if t not in inside)
+    for base in combinations(lines_in, k):
+        eb = EchelonBasis(space.field)
+        if not all(eb.add(g1[t].rows[0]) for t in base):
+            continue
+        yield from extend(tuple(base), eb, others, 0)
+
+
+def echelon_system_indices(space):
+    """Every coordinate system, each candidate line tested against a copied
+    echelon basis of the chosen ones."""
+    g1 = space.grassmannian(1)
+    nlines = len(g1)
+    n = space.n
+
+    def rec(start, chosen, basis):
+        if len(chosen) == n:
+            yield chosen
+            return
+        slots = n - len(chosen)
+        for t in range(start, nlines - slots + 1):
+            nb = basis.copy()
+            if nb.add(g1[t].rows[0]):
+                yield from rec(t + 1, chosen + (t,), nb)
+
+    return rec(0, (), EchelonBasis(space.field))
+
+
+def echelon_complete(plane_set):
+    """Greedy completion to a maximal irregular set on the echelon search."""
+    gr = plane_set.gr
+    current = set(plane_set.iset)
+    for l in range(len(gr)):
+        if l not in current and next(
+            echelon_systems_within(gr.space, gr.k, frozenset(current), forced=l), None
+        ) is None:
+            current.add(l)
+    return PlaneSet(gr, current)
+
+
+def line_indices(system):
+    return None if system is None else system.line_indices
 
 
 def echelon_rows(field, n, pools):
@@ -314,3 +397,72 @@ def test_similarity_search_matches_matrix_loop_on_constructions_at_n5():
     for a, b in ((i1, i2), (i1, i3), (i2, i3)):
         assert similarity(are_similar(a, b)) == similarity(matrix_loop_similar(a, b))
     assert are_similar(i2, i3).reason == "linear witness"
+
+
+def test_maximal_regular_witness_matches_echelon_search_on_every_line_set():
+    space = Space.get(2, 4)
+    g1 = space.grassmannian(1)
+    found = 0
+    for bits in range(1 << len(g1)):
+        ps = PlaneSet(g1, [t for t in range(len(g1)) if bits >> t & 1])
+        want = next(echelon_systems_within(space, 1, ps.iset), None)
+        assert line_indices(contains_maximal_regular(ps)) == want
+        found += want is not None
+    # the line sets that span F_2^4, by Moebius inversion over the subspaces
+    # W of codimension j, each holding 2^(4-j) - 1 lines
+    assert found == sum(
+        (-1) ** j * 2 ** (j * (j - 1) // 2) * gaussian_binomial(4, j, 2) * 2 ** (2 ** (4 - j) - 1)
+        for j in range(5)
+    )
+
+
+def irregular_sets(space, rng):
+    """Seeded irregular 2-plane sets: small random sets, meeting and
+    cohyperplanar sets of each dimension, one deficient construction of each
+    kind."""
+    n = space.n
+    g2 = space.grassmannian(2)
+    sets = []
+    while len(sets) < 3:
+        ps = PlaneSet(g2, rng.sample(range(len(g2)), rng.randint(n + 1, 3 * n)))
+        if is_irregular(ps):
+            sets.append(ps)
+    for m in range(1, n - 1):
+        s = space.grassmannian(m)[rng.randrange(len(space.grassmannian(m)))]
+        sets.append(planes_meeting(space, s, 2))
+    for m in range(n - 2, n):
+        s = space.grassmannian(m)[rng.randrange(len(space.grassmannian(m)))]
+        sets.append(planes_cohyperplanar(space, s, 2))
+    for build, ds in ((deficient_irregular, n - 3), (deficient_irregular_dual, n - 1)):
+        s = space.grassmannian(ds)[rng.randrange(len(space.grassmannian(ds)))]
+        t = next(t for t in space.grassmannian(n - ds) if meet(s, t).k == 0)
+        sets.append(build(space, s, t).result)
+    return sets
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_completion_matches_echelon_search(n):
+    space = Space.get(2, n)
+    rng = random.Random(f"completion:{n}")
+    outside = witnesses = 0
+    for ps in irregular_sets(space, rng):
+        assert is_irregular(ps)
+        for l in range(len(ps.gr)):
+            if l not in ps.iset:
+                want = next(echelon_systems_within(space, 2, ps.iset, forced=l), None)
+                assert line_indices(completion_witness(ps, l)) == want
+                outside += 1
+                witnesses += want is not None
+        assert complete_to_maximal_irregular(ps) == echelon_complete(ps)
+    assert 0 < witnesses < outside
+
+
+@pytest.mark.parametrize(
+    "q,n,count",
+    [(2, 3, 28), (3, 3, 234), (2, 4, 840), (4, 3, 1120), (3, 4, 63180), (2, 5, 83328)],
+)
+def test_system_walk_matches_echelon_walk(q, n, count):
+    space = Space.get(q, n)
+    got = list(_coordinate_system_indices(space))
+    assert len(got) == count
+    assert got == list(echelon_system_indices(space))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -76,6 +77,33 @@ def test_enumeration_is_sorted():
 def test_ambient_cap():
     with pytest.raises(TooLargeError):
         Space(field(2), 7)
+
+
+def test_grassmannian_cap_refuses_before_enumerating():
+    space = sp(16, 6)
+    for k in (1, 3, 5):
+        with pytest.raises(TooLargeError):
+            space.grassmannian(k)
+    assert len(space.grassmannian(0)) == len(space.grassmannian(6)) == 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (2, 5)])
+def test_span_masks_match_spans(q, n):
+    space = sp(q, n)
+    g1 = space.grassmannian(1)
+    rng = random.Random(f"span:{q}:{n}")
+    for _ in range(20):
+        mask, points, rows = 0, (), []
+        for t in rng.sample(range(len(g1)), len(g1)):
+            if mask >> t & 1:
+                continue
+            mask, points = space.span_with(mask, points, t)
+            rows.append(g1[t].rows[0])
+            span = space.subspace(rows)
+            want = {u for u, line in enumerate(g1) if span.contains(line)}
+            assert set(points) == want and len(points) == len(want)
+            assert mask == sum(1 << u for u in want)
+        assert len(rows) == n
 
 
 def test_meet_join_idempotent():
