@@ -47,6 +47,8 @@ from .irregularity import (
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map
 from .regularity import (
+    CoordinateSystem,
+    _coordinate_system_indices,
     all_coordinate_systems,
     associated_systems,
     degree,
@@ -445,14 +447,12 @@ def check_thm_2_2_2(q, n, k, rng):
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
         threshold = comb(n - 1, k - 1) if n - k < k else comb(n - 1, k)
-        base = all_coordinate_systems(space)[0]
+        base = CoordinateSystem.from_line_indices(space, next(_coordinate_system_indices(space)))
         planes = base.coordinate_planes(k)
         extra_systems = []
         for _ in range(10):
             h = SemilinearMap(space.field, random_invertible(space.field, n, rng))
             lines = [h.apply_subspace(l) for l in base.lines]
-            from .regularity import CoordinateSystem
-
             extra_systems.append(CoordinateSystem(space, lines))
         pools = [planes] + [s.coordinate_planes(k) for s in extra_systems]
 

@@ -6,7 +6,7 @@ Grassmannians of different dimensions.
 from __future__ import annotations
 
 from .forms import BilinearForm
-from .grassmann import GrassmannMap, Subspace, join, meet
+from .grassmann import GrassmannMap, Subspace
 from .linalg import Mat, SingularMatrixError
 
 
@@ -36,9 +36,7 @@ class SemilinearMap:
         return self.matrix.apply(tuple(self.sigma(x) for x in v))
 
     def apply_subspace(self, s):
-        rows = Mat(self.field, [tuple(self.sigma(x) for x in r) for r in s.rows])
-        image = rows.mul(self.matrix.transpose())
-        return Subspace.span(self.field, s.n, image.rows)
+        return Subspace.span(self.field, s.n, [self.apply_vector(r) for r in s.rows])
 
     def compose(self, other):
         """self after other; automorphism exponents add."""
@@ -89,11 +87,17 @@ class SemilinearMap:
 
 
 def induced_map(space, f, k):
-    """The bijection of G_k defined by a semilinear map of the ambient space."""
+    """The bijection of G_k defined by a semilinear map of the ambient space:
+    its line table, one vector mapped per line, lifted to G_k by `induces`."""
     if f.n != space.n or f.field.q != space.field.q:
         raise ValueError("map and space do not match")
     gk = space.grassmannian(k)
-    return GrassmannMap(gk, gk, (gk.index(f.apply_subspace(s)) for s in gk))
+    if len(gk) == 1:
+        return GrassmannMap.identity(gk)
+    g1 = space.grassmannian(1)
+    line_of = space.vector_lines()
+    lines = GrassmannMap(g1, g1, (line_of[f.apply_vector(l.rows[0])] for l in g1))
+    return lines if k == 1 else induces(space, lines, k)
 
 
 def pullback_form(f, form):
@@ -107,27 +111,13 @@ def pullback_form(f, form):
     return BilinearForm(form.field, g, form.sigma1, form.sigma2)
 
 
-def _incidence_image_plane(space, image_indices, k, m):
-    """The plane s with G_k(s) equal to the given image set, or None."""
-    gk = space.grassmannian(k)
-    members = [gk[i] for i in image_indices]
-    if not members:
-        return None
-    acc = members[0]
-    for s in members[1:]:
-        acc = join(acc, s) if m > k else meet(acc, s)
-    if acc.k != m:
-        return None
-    if space.incidence(k, m)[space.grassmannian(m).index(acc)] != tuple(sorted(image_indices)):
-        return None
-    return acc
-
-
 def induces(space, f, m):
     """The transformation of G_m induced by a transformation f of G_k, if any.
 
     Both directions are required: every incidence set G_k(s) must map onto an
-    incidence set under f and under f or its inverse; otherwise None.
+    incidence set under both f and its inverse; otherwise None.  A
+    transformation of G_0 or G_n induces none, since all G_m planes share
+    the one incidence set there.
     """
     k = f.domain.k
     if m == k:
@@ -135,18 +125,16 @@ def induces(space, f, m):
     if f.codomain.k != k:
         raise ValueError("induces applies to transformations of one Grassmannian")
     gm = space.grassmannian(m)
-    inc = space.incidence(k, m)
-    inv_table = f.inverse().table
+    if k in (0, space.n):
+        return None
+    plane_of = space.plane_of_incidence(k, m)
+    inv = f.inverse().table
     forward = []
-    for si in range(len(gm)):
-        img = [f.table[i] for i in inc[si]]
-        s_img = _incidence_image_plane(space, img, k, m)
-        if s_img is None:
+    for row in space.incidence(k, m):
+        s = plane_of.get(frozenset(f.table[i] for i in row))
+        if s is None or frozenset(inv[i] for i in row) not in plane_of:
             return None
-        pre = [inv_table[i] for i in inc[si]]
-        if _incidence_image_plane(space, pre, k, m) is None:
-            return None
-        forward.append(gm.index(s_img))
+        forward.append(s)
     if len(set(forward)) != len(gm):
         return None
     return GrassmannMap(gm, gm, forward)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import standard_symplectic, form_map
-from .grassmann import GrassmannMap, Subspace
+from .grassmann import GrassmannMap
 from .linalg import EchelonBasis, Mat
 from .maps import SemilinearMap, induced_map
 from .regularity import _coordinate_system_indices, maximal_regular_family
@@ -65,17 +65,12 @@ def independence_violation(space, f):
         raise ValueError("independence preservation needs dimension >= 3")
     if f.domain.k != 1 or f.codomain.k != 1:
         raise ValueError("expected a transformation of the line Grassmannian")
-    gh = space.grassmannian(n - 1)
-    inc = space.incidence(1, n - 1)
-    hyperplane_of = {frozenset(lines): i for i, lines in enumerate(inc)}
+    hyperplane_of = space.plane_of_incidence(1, n - 1)
     inv = f.inverse().table
-    for hi in range(len(gh)):
-        img = frozenset(f.table[i] for i in inc[hi])
-        if img not in hyperplane_of:
-            return gh[hi]
-        pre = frozenset(inv[i] for i in inc[hi])
-        if pre not in hyperplane_of:
-            return gh[hi]
+    for hi, row in enumerate(space.incidence(1, n - 1)):
+        for t in (f.table, inv):
+            if frozenset(t[i] for i in row) not in hyperplane_of:
+                return space.grassmannian(n - 1)[hi]
     return None
 
 
@@ -83,10 +78,9 @@ def is_independence_preserving(space, f):
     return independence_violation(space, f) is None
 
 
-def _line_rep(space, f, s):
-    """Representative row of the image line of the line spanned by s."""
-    g1 = space.grassmannian(1)
-    return g1[f.table[g1.index(Subspace.span(space.field, space.n, (s,)))]].rows[0]
+def _line_rep(space, f, v):
+    """Representative row of the image line of the line through v."""
+    return space.grassmannian(1)[f.table[space.vector_lines()[v]]].rows[0]
 
 
 def ftpg_reconstruct(space, f):
@@ -184,30 +178,23 @@ def _star_image_map(space, f, j):
     star-image dichotomy and raises.
     """
     gj1 = space.grassmannian(j - 1)
-    inc = space.incidence(j, j - 1)
-    inc_sets = [frozenset(x) for x in inc]
-    star_of = {s: i for i, s in enumerate(inc_sets)}
-    top_inc = space.incidence(j, j + 1)
-    top_of = {frozenset(x): i for i, x in enumerate(top_inc)}
+    star_of = space.plane_of_incidence(j, j - 1)
+    top_of = space.plane_of_incidence(j, j + 1)
     kind = None
     table = []
-    for si in range(len(gj1)):
-        img = frozenset(f.table[i] for i in inc[si])
-        ci = star_of.get(img)
-        if ci is not None:
+    for row in space.incidence(j, j - 1):
+        img = frozenset(f.table[i] for i in row)
+        if img in star_of:
             this = "star"
-            table.append(ci)
+            table.append(star_of[img])
         elif img in top_of:
             this = "top"
         else:
             raise RuntimeError("star image is neither a star nor a top")
-        if kind is None:
-            kind = this
-        elif kind != this:
+        if kind not in (None, this):
             raise RuntimeError("star images are of mixed kinds")
-    if kind == "top":
-        return "top", None
-    return "star", GrassmannMap(gj1, gj1, table)
+        kind = this
+    return ("top", None) if kind == "top" else ("star", GrassmannMap(gj1, gj1, table))
 
 
 def chow_classify(space, f):

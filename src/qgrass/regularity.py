@@ -28,9 +28,10 @@ def exactness_threshold(n, k):
 
 
 class CoordinateSystem:
-    """An unordered set of n independent lines of F^n."""
+    """An unordered set of n independent lines of F^n, held as the ascending
+    tuple of their G_1 indices (G_1 is in `Subspace.key` order)."""
 
-    __slots__ = ("space", "lines", "line_indices")
+    __slots__ = ("space", "line_indices")
 
     def __init__(self, space, lines):
         lines = tuple(sorted(lines, key=Subspace.key))
@@ -40,14 +41,21 @@ class CoordinateSystem:
         if not all(eb.add(l.rows[0]) for l in lines):
             raise ValueError("coordinate lines must be independent")
         self.space = space
-        self.lines = lines
         g1 = space.grassmannian(1)
         self.line_indices = tuple(g1.index(l) for l in lines)
 
     @classmethod
     def from_line_indices(cls, space, indices):
-        g1 = space.grassmannian(1)
-        return cls(space, [g1[i] for i in indices])
+        """The system of an ascending tuple of independent line indices, as
+        the searches yield them; not re-checked."""
+        system = cls.__new__(cls)
+        system.space, system.line_indices = space, indices
+        return system
+
+    @property
+    def lines(self):
+        g1 = self.space.grassmannian(1)
+        return tuple(g1[i] for i in self.line_indices)
 
     def coordinate_planes(self, m):
         """All C(n, m) joins of m-subsets of the lines, as a PlaneSet."""

@@ -4,7 +4,9 @@ The certify-first classifier, the lazy walk over line coordinate systems and
 the row-reduction-free similarity search are compared with the scan-first and
 per-matrix implementations they replaced; the coordinate-system searches that
 carry spans as point bitmasks are compared with the echelon-basis searches
-they replaced.  The replaced implementations are kept here as reference
+they replaced; induced tables lifted from the line table through the
+reverse-incidence lookup are compared with one row reduction per plane and
+with the join/meet `induces`.  The replaced implementations are kept here as reference
 oracles.
 """
 
@@ -15,7 +17,15 @@ from itertools import combinations, permutations, product
 import pytest
 
 from qgrass.forms import BilinearForm, dot_form, form_map, standard_symplectic
-from qgrass.grassmann import GrassmannMap, PlaneSet, Space, gaussian_binomial, meet
+from qgrass.grassmann import (
+    GrassmannMap,
+    PlaneSet,
+    Space,
+    Subspace,
+    gaussian_binomial,
+    join,
+    meet,
+)
 from qgrass.harness import random_invertible, random_semilinear
 from qgrass.irregularity import (
     Similarity,
@@ -34,7 +44,7 @@ from qgrass.irregularity import (
     planes_meeting,
 )
 from qgrass.linalg import EchelonBasis, Mat
-from qgrass.maps import SemilinearMap, induced_map
+from qgrass.maps import SemilinearMap, induced_map, induces
 from qgrass.reconstruction import (
     ClassificationResult,
     NotRegularTransformationError,
@@ -45,7 +55,11 @@ from qgrass.reconstruction import (
     regular_classify,
     regular_violation,
 )
-from qgrass.regularity import _coordinate_system_indices, maximal_regular_family
+from qgrass.regularity import (
+    CoordinateSystem,
+    _coordinate_system_indices,
+    maximal_regular_family,
+)
 
 # ---------------------------------------------------------------------------
 # reference oracles
@@ -257,6 +271,52 @@ def matrix_loop_similar(left, right):
     return Similarity("no", None, "regular transformation group exhausted")
 
 
+def rref_induced_map(space, f, k):
+    """Induced table with one row reduction per plane: the image rows
+    sigma(r) M^T of each plane, spanned and indexed."""
+    gk = space.grassmannian(k)
+    mt = f.matrix.transpose()
+
+    def image(s):
+        rows = [tuple(f.sigma(x) for x in r) for r in s.rows]
+        if rows:
+            rows = Mat(f.field, rows).mul(mt).rows
+        return gk.index(Subspace.span(f.field, space.n, rows))
+
+    return GrassmannMap(gk, gk, (image(s) for s in gk))
+
+
+def join_meet_plane(space, image_indices, k, m):
+    """The plane s with G_k(s) equal to the given set, found as the join
+    (m > k) or meet (m < k) of the set and checked against its incidence."""
+    gk = space.grassmannian(k)
+    members = [gk[i] for i in image_indices]
+    acc = members[0]
+    for s in members[1:]:
+        acc = join(acc, s) if m > k else meet(acc, s)
+    if acc.k != m:
+        return None
+    if space.incidence(k, m)[space.grassmannian(m).index(acc)] != tuple(sorted(image_indices)):
+        return None
+    return acc
+
+
+def join_meet_induces(space, f, m):
+    """`induces` with the image and preimage planes found by join/meet."""
+    k = f.domain.k
+    gm = space.grassmannian(m)
+    inv = f.inverse().table
+    forward = []
+    for row in space.incidence(k, m):
+        img = join_meet_plane(space, [f.table[i] for i in row], k, m)
+        if img is None or join_meet_plane(space, [inv[i] for i in row], k, m) is None:
+            return None
+        forward.append(gm.index(img))
+    if len(set(forward)) != len(gm):
+        return None
+    return GrassmannMap(gm, gm, forward)
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -466,3 +526,56 @@ def test_system_walk_matches_echelon_walk(q, n, count):
     got = list(_coordinate_system_indices(space))
     assert len(got) == count
     assert got == list(echelon_system_indices(space))
+
+
+INDUCED_SPACES = [(2, 3, 20), (2, 4, 20), (2, 5, 10), (3, 4, 10), (4, 3, 20)]
+
+
+@pytest.mark.parametrize("q,n,count", INDUCED_SPACES)
+def test_lifted_induced_map_matches_rref_per_plane(q, n, count):
+    space = Space.get(q, n)
+    rng = random.Random(f"induced:{q}:{n}")
+    maps = [random_semilinear(space, rng) for _ in range(count)]
+    if q == 4:
+        # Frobenius twists occur, and plain linear maps too
+        assert {h.sigma.exp for h in maps} == {0, 1}
+    for h in maps:
+        for k in range(n + 1):
+            assert induced_map(space, h, k) == rref_induced_map(space, h, k)
+
+
+@pytest.mark.parametrize("q,n,count", INDUCED_SPACES)
+def test_lookup_induces_matches_join_meet(q, n, count):
+    space = Space.get(q, n)
+    rng = random.Random(f"induces:{q}:{n}")
+    found = rejected = 0
+    for _ in range(min(count, 3)):
+        h = random_semilinear(space, rng)
+        for k in range(n + 1):
+            f = induced_map(space, h, k)
+            tables = [f]
+            if len(f.table) > 1:
+                tables.append(GrassmannMap(f.domain, f.codomain, transposed(f.table, rng)))
+            for g in tables:
+                for m in range(n + 1):
+                    if m != k:
+                        got = induces(space, g, m)
+                        assert got == join_meet_induces(space, g, m)
+                        if g is f and 0 < k < n:
+                            assert got == induced_map(space, h, m)
+                        found += got is not None
+                        rejected += got is None
+    # both outcomes occur: induced tables lift, transpositions and G_0, G_n do not
+    assert found and rejected
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+def test_system_from_search_matches_validating_constructor(q, n):
+    space = Space.get(q, n)
+    g1 = space.grassmannian(1)
+    for idxs in _coordinate_system_indices(space):
+        fast = CoordinateSystem.from_line_indices(space, idxs)
+        checked = CoordinateSystem(space, [g1[i] for i in reversed(idxs)])
+        assert fast == checked
+        assert fast.line_indices == checked.line_indices
+        assert fast.lines == checked.lines

@@ -1,0 +1,52 @@
+"""Golden CLI corpus: committed inputs with recorded stdout and exit codes.
+
+Each case runs `qgrass` on a committed map table or plane set in
+`tests/golden/` and compares stdout byte for byte with `<case>.stdout` and
+the exit code with `exit_codes.json`.  The map tables cover every classifier
+branch: a line table with a Frobenius twist at (4,3,1), the adjacency-based
+classifier on a linear and on a form-composed (2,4,2) table and on a (2,5,2)
+table, the conjugation at (2,4,3), and a corrupted (2,4,2) table.  The inputs
+are files rather than tables rebuilt by `induced_map`, so an error shared by
+the code that builds tables and the code that classifies them still shows.
+
+To re-record a case after an intended output change, run the same command
+from `tests/golden/` and overwrite its `.stdout` file.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qgrass.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "classify-frobenius-4-3-1": ["classify", "--in", "frobenius-4-3-1.maptable"],
+    "classify-linear-2-4-2": ["classify", "--in", "linear-2-4-2.maptable"],
+    "classify-form-2-4-2": ["classify", "--in", "form-2-4-2.maptable"],
+    "classify-linear-2-4-3": ["classify", "--in", "linear-2-4-3.maptable"],
+    "classify-linear-2-5-2": ["classify", "--in", "linear-2-5-2.maptable"],
+    "classify-corrupted-2-4-2": ["classify", "--in", "corrupted-2-4-2.maptable"],
+}
+for name in ("regular", "meeting", "superset"):
+    for mode in ("regular", "irregular"):
+        CASES[f"analyze-{name}-2-4-2-{mode}"] = [
+            "analyze", "--in", f"{name}-2-4-2.planeset", "--mode", mode,
+        ]
+
+
+def test_every_recorded_case_is_run():
+    recorded = {p.stem for p in GOLDEN.glob("*.stdout")}
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert recorded == set(codes) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_recording(case, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    code = main(CASES[case])
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{case}.stdout").read_text()
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[case]

@@ -215,3 +215,12 @@ def test_inducing_transformations_are_semilinear():
     res = regular_classify(space, composed)
     assert res.kind == "linear" and res.verified
     assert induced_map(space, res.map, 1) == g
+
+
+def test_zero_subspace_and_one_plane_grassmannians():
+    space = Space.get(2, 4)
+    ident = SemilinearMap.identity(space.field, 4)
+    assert ident.apply_subspace(space.zero_subspace) == space.zero_subspace
+    for k in (0, 4):
+        f = induced_map(space, ident, k)
+        assert f.table == (0,) and f.is_identity()
