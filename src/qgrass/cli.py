@@ -49,6 +49,11 @@ class UsageError(ValueError):
     """Arguments or file contents outside what the command is defined for."""
 
 
+# the most planes `classify` accepts: up to it every call takes seconds and
+# under 100 MB; the next sizes take 15 s and more, and G_2(F_4^5) would need
+# a 33.6 M-entry distance matrix
+MAX_CLASSIFY_PLANES = 1_500
+
 # the least k and the least n - k each analyze mode is defined for
 MODE_K = {"regular": (1, 1), "irregular": (1, 1), "characteristics": (2, 2), "degree": (1, 1)}
 
@@ -281,6 +286,11 @@ def cmd_classify(args):
         return 2
     if not (n >= 3 and 1 <= k <= n - 1):
         raise UsageError(f"classification needs n >= 3 and 1 <= k <= n-1; the file has n={n}, k={k}")
+    if len(gmap.domain) > MAX_CLASSIFY_PLANES:
+        raise UsageError(
+            f"G_{k}(F_{space.field.q}^{n}) has {len(gmap.domain)} planes, "
+            f"above the classify limit of {MAX_CLASSIFY_PLANES}"
+        )
     try:
         if 1 < k < n - 1:
             result = chow_classify(space, gmap)

@@ -155,10 +155,9 @@ class Field:
             if self._inv[a] is None:
                 raise UnsupportedOrderError(f"GF({q}) table is not a field")
 
-        self._frobs = []
-        for j in range(m):
-            e = p ** j
-            self._frobs.append(tuple(self._pow(a, e) for a in range(q)))
+        self._frobs = tuple(
+            Automorphism(self, j, tuple(self._pow(a, p**j) for a in range(q))) for j in range(m)
+        )
 
     def _decode(self, code):
         p = self.p
@@ -210,12 +209,11 @@ class Field:
     # automorphisms -------------------------------------------------------
 
     def frobenius(self, j):
-        j %= self.m
-        return Automorphism(self, j, self._frobs[j])
+        return self._frobs[j % self.m]
 
     def automorphisms(self):
         """All field automorphisms, identity first; cyclic of order m."""
-        return tuple(self.frobenius(j) for j in range(self.m))
+        return self._frobs
 
     @property
     def identity_automorphism(self):

@@ -245,6 +245,8 @@ class Space:
         self._thirds = {}
         self._vector_lines = None
         self._dist = {}
+        self._masks = {}
+        self._mask_index = {}
         self._systems = None
 
     @classmethod
@@ -289,18 +291,11 @@ class Space:
             line_of = self.vector_lines()
             table = [tuple(sorted({line_of[v] for v in s.vectors() if any(v)})) for s in gm]
         else:
-            small, big = (k, m) if k < m else (m, k)
-            gs, gb = self.grassmannian(small), self.grassmannian(big)
-            pairs = [[] for _ in range(len(gm))]
-            for bi, b in enumerate(gb):
-                eb = EchelonBasis(self.field, b.rows)
-                for si, s in enumerate(gs):
-                    if all(not any(eb.reduce(r)) for r in s.rows):
-                        if m == big:
-                            pairs[bi].append(si)
-                        else:
-                            pairs[si].append(bi)
-            table = [tuple(p) for p in pairs]
+            small, big = self.point_masks(min(k, m)), self.point_masks(max(k, m))
+            if k < m:
+                table = [tuple(i for i, a in enumerate(small) if a & b == a) for b in big]
+            else:
+                table = [tuple(i for i, b in enumerate(big) if a & b == a) for a in small]
         self._incidence[key] = table
         return table
 
@@ -318,12 +313,36 @@ class Space:
         memo = self._join_memo
         if key in memo:
             return memo[key]
-        g1 = self.grassmannian(1)
-        rows = tuple(g1[i].rows[0] for i in key[1])
-        s = Subspace.span(self.field, self.n, rows)
-        idx = self.grassmannian(k).index(s) if s.k == k else None
-        memo[key] = idx
+        mask, points = 0, ()
+        for t in key[1]:
+            if not mask >> t & 1:
+                mask, points = self.span_with(mask, points, t)
+        idx = memo[key] = self.mask_index(k).get(mask)
         return idx
+
+    def point_masks(self, k):
+        """For each plane of G_k, the bitmask over G_1 indices of its points
+        (cached).  Set operations on masks are lattice operations on planes:
+        a lies in b when a & b == a, and the meet of a and b has dimension e
+        when a & b has (q^e - 1)/(q - 1) points."""
+        masks = self._masks.get(k)
+        if masks is None:
+            g = self.grassmannian(k)
+            if k == 0:
+                masks = [0]
+            elif k == 1:
+                masks = [1 << i for i in range(len(g))]
+            else:
+                masks = [sum(1 << p for p in row) for row in self.incidence(1, k)]
+            self._masks[k] = masks
+        return masks
+
+    def mask_index(self, k):
+        """Dict from each G_k point mask to its G_k index (cached)."""
+        rev = self._mask_index.get(k)
+        if rev is None:
+            rev = self._mask_index[k] = {a: i for i, a in enumerate(self.point_masks(k))}
+        return rev
 
     def span_with(self, mask, points, t):
         """Extend the span of some lines by the line t outside it.
@@ -366,16 +385,13 @@ class Space:
         return self._vector_lines
 
     def distance_matrix(self, k):
+        """k - dim(a meet b) for every pair of G_k planes, read off the
+        popcount of their point masks (cached)."""
         d = self._dist.get(k)
         if d is None:
-            g = self.grassmannian(k)
-            N = len(g)
-            d = [[0] * N for _ in range(N)]
-            for i in range(N):
-                for j in range(i + 1, N):
-                    dij = distance(g[i], g[j])
-                    d[i][j] = d[j][i] = dij
-            self._dist[k] = d
+            dist_of = {gaussian_binomial(e, 1, self.field.q): k - e for e in range(k + 1)}
+            masks = self.point_masks(k)
+            d = self._dist[k] = [[dist_of[(a & b).bit_count()] for b in masks] for a in masks]
         return d
 
     def __repr__(self):

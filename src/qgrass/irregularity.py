@@ -15,6 +15,7 @@ from .grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    gaussian_binomial,
     incidence_set,
     join,
     meet,
@@ -138,29 +139,30 @@ def complete_to_maximal_irregular(plane_set):
     return PlaneSet(gr, current)
 
 
+def _point_mask(space, s):
+    return space.point_masks(s.k)[space.grassmannian(s.k).index(s)]
+
+
 def planes_meeting(space, s, k):
-    """All k-planes meeting s in at least a line."""
+    """All k-planes meeting s in at least a line: sharing a point with s."""
     if s.k == 0:
         raise ValueError("meeting set needs dim s >= 1")
-    gk = space.grassmannian(k)
-    limit = k + s.k
-    out = []
-    for i, l in enumerate(gk):
-        if Subspace.span(space.field, space.n, l.rows + s.rows).k < limit:
-            out.append(i)
-    return PlaneSet(gk, out)
+    ms = _point_mask(space, s)
+    return PlaneSet(space.grassmannian(k), (i for i, a in enumerate(space.point_masks(k)) if a & ms))
 
 
 def planes_cohyperplanar(space, s, k):
-    """All k-planes lying in a common hyperplane with s."""
+    """All k-planes lying in a common hyperplane with s: those meeting s in
+    dimension at least e = k + dim s - n + 1, that is in at least
+    (q^e - 1)/(q - 1) points."""
     if s.k == 0:
         raise ValueError("cohyperplanar set needs dim s >= 1")
-    gk = space.grassmannian(k)
-    out = []
-    for i, l in enumerate(gk):
-        if Subspace.span(space.field, space.n, l.rows + s.rows).k <= space.n - 1:
-            out.append(i)
-    return PlaneSet(gk, out)
+    need = gaussian_binomial(k + s.k - space.n + 1, 1, space.field.q)
+    ms = _point_mask(space, s)
+    return PlaneSet(
+        space.grassmannian(k),
+        (i for i, a in enumerate(space.point_masks(k)) if (a & ms).bit_count() >= need),
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ classifier, and the regular-transformation classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 from .forms import standard_symplectic, form_map
 from .grassmann import GrassmannMap
@@ -252,30 +255,45 @@ def regular_violation(space, f):
 
     Maximal regular sets are taken in the canonical order of the coordinate
     systems.  On the line Grassmannian they are the n-sets of independent
-    lines, so the systems are walked lazily and each image and preimage is
-    tested for independence; other dimensions look the images up in the
-    cached family.
+    lines, and on the hyperplane Grassmannian the n-sets of hyperplanes with
+    no common point (their point masks AND to 0), so there the systems are
+    walked lazily and each image and preimage is tested directly; other
+    dimensions look the images up in the cached family.
     """
-    k = f.domain.k
+    k, n = f.domain.k, space.n
     t, inv = f.table, f.inverse().table
     if k == f.codomain.k == 1:
         rows = [l.rows[0] for l in space.grassmannian(1)]
 
-        def independent(lines):
+        def members(system):
+            return system
+
+        def regular(lines):
             eb = EchelonBasis(space.field)
             return all(eb.add(rows[i]) for i in lines)
 
-        for system in _coordinate_system_indices(space):
-            if not (independent(t[i] for i in system) and independent(inv[i] for i in system)):
-                return frozenset(system)
+    elif k == f.codomain.k == n - 1:
+        masks = space.point_masks(k)
+
+        def members(system):
+            return [space.line_join_index(c, k) for c in combinations(system, k)]
+
+        def regular(hyperplanes):
+            return reduce(and_, (masks[i] for i in hyperplanes)) == 0
+
+    else:
+        family = maximal_regular_family(space, k)
+        fam_set = set(family)
+        for mr in family:
+            if frozenset(t[i] for i in mr) not in fam_set:
+                return mr
+            if frozenset(inv[i] for i in mr) not in fam_set:
+                return mr
         return None
-    family = maximal_regular_family(space, k)
-    fam_set = set(family)
-    for mr in family:
-        if frozenset(t[i] for i in mr) not in fam_set:
-            return mr
-        if frozenset(inv[i] for i in mr) not in fam_set:
-            return mr
+    for system in _coordinate_system_indices(space):
+        mr = members(system)
+        if not (regular(t[i] for i in mr) and regular(inv[i] for i in mr)):
+            return frozenset(mr)
     return None
 
 

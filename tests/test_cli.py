@@ -243,6 +243,10 @@ LINE = "planeset 2 4 1 1\n\n1 0 0 0\n"
 SWAPPED_LINES = "maptable 2 3 1 1\n1\n0\n" + "".join(f"{i}\n" for i in range(2, 7))
 
 
+def identity_table(q, n, k, planes):
+    return f"maptable {q} {n} {k} {k}\n" + "".join(f"{i}\n" for i in range(planes))
+
+
 @pytest.mark.parametrize(
     "argv,files,code",
     [
@@ -267,6 +271,10 @@ SWAPPED_LINES = "maptable 2 3 1 1\n1\n0\n" + "".join(f"{i}\n" for i in range(2, 
                      id="irregular-at-k-equal-n"),
         pytest.param(["analyze", "--in", "{f}"], {"f": "planeset 16 6 3 0\n"}, 2, id="planeset-huge"),
         pytest.param(["classify", "--in", "{f}"], {"f": "maptable 16 6 3 3\n"}, 2, id="maptable-huge"),
+        pytest.param(["classify", "--in", "{f}"], {"f": identity_table(3, 5, 2, 1210)}, 0,
+                     id="classify-inside-envelope"),
+        pytest.param(["classify", "--in", "{f}"], {"f": identity_table(4, 5, 2, 5797)}, 2,
+                     id="classify-outside-envelope"),
         pytest.param(["verify", "--theorem", "prop-1.4.2", "--q", "16", "--n", "6", "--k", "3"], {}, 3,
                      id="verify-huge-outside-envelope"),
     ],

@@ -6,8 +6,11 @@ per-matrix implementations they replaced; the coordinate-system searches that
 carry spans as point bitmasks are compared with the echelon-basis searches
 they replaced; induced tables lifted from the line table through the
 reverse-incidence lookup are compared with one row reduction per plane and
-with the join/meet `induces`.  The replaced implementations are kept here as reference
-oracles.
+with the join/meet `induces`; the incidence and distance tables, line joins
+and meeting/cohyperplanar sets read off point masks are compared with echelon
+reductions, per-pair `distance` and spans; and the one-way `induces` is
+compared with the version that also checked preimages and bijectivity.  The
+replaced implementations are kept here as reference oracles.
 """
 
 import functools
@@ -22,6 +25,7 @@ from qgrass.grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    distance,
     gaussian_binomial,
     join,
     meet,
@@ -317,6 +321,73 @@ def join_meet_induces(space, f, m):
     return GrassmannMap(gm, gm, forward)
 
 
+def two_way_induces(space, f, m):
+    """`induces` that also checks every preimage set and that the table built
+    is a bijection."""
+    k = f.domain.k
+    gm = space.grassmannian(m)
+    if k in (0, space.n):
+        return None
+    plane_of = space.plane_of_incidence(k, m)
+    inv = f.inverse().table
+    forward = []
+    for row in space.incidence(k, m):
+        s = plane_of.get(frozenset(f.table[i] for i in row))
+        if s is None or frozenset(inv[i] for i in row) not in plane_of:
+            return None
+        forward.append(s)
+    if len(set(forward)) != len(gm):
+        return None
+    return GrassmannMap(gm, gm, forward)
+
+
+def echelon_incidences(space, small, big):
+    """`incidence(small, big)` and `incidence(big, small)` with one echelon
+    reduction per (small, big) pair."""
+    gs, gb = space.grassmannian(small), space.grassmannian(big)
+    down = [[] for _ in gb]
+    up = [[] for _ in gs]
+    for bi, b in enumerate(gb):
+        eb = EchelonBasis(space.field, b.rows)
+        for si, s in enumerate(gs):
+            if all(not any(eb.reduce(r)) for r in s.rows):
+                down[bi].append(si)
+                up[si].append(bi)
+    return [tuple(r) for r in down], [tuple(r) for r in up]
+
+
+def pairwise_distance_matrix(space, k):
+    """`distance_matrix(k)` with one `distance` row reduction per pair."""
+    g = space.grassmannian(k)
+    d = [[0] * len(g) for _ in g]
+    for i, j in combinations(range(len(g)), 2):
+        d[i][j] = d[j][i] = distance(g[i], g[j])
+    return d
+
+
+def span_join_index(space, line_indices, k):
+    """`line_join_index` by spanning the lines' rows and indexing the span."""
+    g1 = space.grassmannian(1)
+    s = Subspace.span(space.field, space.n, tuple(g1[i].rows[0] for i in line_indices))
+    return space.grassmannian(k).index(s) if s.k == k else None
+
+
+def span_planes_meeting(space, s, k):
+    """`planes_meeting` with one span per plane."""
+    gk = space.grassmannian(k)
+    return PlaneSet(
+        gk, (i for i, l in enumerate(gk) if Subspace.span(space.field, space.n, l.rows + s.rows).k < k + s.k)
+    )
+
+
+def span_planes_cohyperplanar(space, s, k):
+    """`planes_cohyperplanar` with one span per plane."""
+    gk = space.grassmannian(k)
+    return PlaneSet(
+        gk, (i for i, l in enumerate(gk) if Subspace.span(space.field, space.n, l.rows + s.rows).k < space.n)
+    )
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -394,16 +465,26 @@ def test_certify_first_classifier_matches_scan_first(q, n, k, sample):
     assert kinds[NotRegularTransformationError] == len(tables)
 
 
-def test_line_walk_matches_family_scan():
+def walk_regular_count(k):
+    """Compare the lazy walk with the family scan on every permutation of
+    G_k(F_2^3); the number of regular ones."""
     space = Space.get(2, 3)
-    g1 = space.grassmannian(1)
+    gk = space.grassmannian(k)
     regular = 0
-    for perm in permutations(range(len(g1))):
-        f = GrassmannMap(g1, g1, perm)
+    for perm in permutations(range(len(gk))):
+        f = GrassmannMap(gk, gk, perm)
         witness = regular_violation(space, f)
         assert witness == family_violation(space, f)
         regular += witness is None
-    assert regular == 168  # |GL(3, 2)|
+    return regular
+
+
+def test_line_walk_matches_family_scan():
+    assert walk_regular_count(1) == 168  # |GL(3, 2)|
+
+
+def test_hyperplane_walk_matches_family_scan():
+    assert walk_regular_count(2) == 168
 
 
 def test_enumerators_match_echelon_reference():
@@ -579,3 +660,66 @@ def test_system_from_search_matches_validating_constructor(q, n):
         assert fast == checked
         assert fast.line_indices == checked.line_indices
         assert fast.lines == checked.lines
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
+def test_one_way_induces_matches_two_way_check(q, n):
+    space = Space.get(q, n)
+    rng = random.Random(f"one-way:{q}:{n}")
+    found = rejected = 0
+    for _ in range(3):
+        h = random_semilinear(space, rng)
+        for k in range(n + 1):
+            f = induced_map(space, h, k)
+            tables = [f]
+            if len(f.table) > 1:
+                tables += [GrassmannMap(f.domain, f.codomain, transposed(f.table, rng)) for _ in range(3)]
+            for g in tables:
+                for m in range(n + 1):
+                    if m != k:
+                        got = induces(space, g, m)
+                        assert got == two_way_induces(space, g, m)
+                        found += got is not None
+                        rejected += got is None
+    assert found and rejected
+
+
+# every ambient space whose incidence or distance tables the test suite builds
+TABLE_SPACES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3)]
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES)
+def test_mask_tables_match_row_reduction(q, n):
+    space = Space.get(q, n)
+    for small, big in combinations(range(n + 1), 2):
+        down, up = echelon_incidences(space, small, big)
+        assert space.incidence(small, big) == down
+        assert space.incidence(big, small) == up
+    for k in range(1, n):
+        assert space.distance_matrix(k) == pairwise_distance_matrix(space, k)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
+def test_mask_join_index_matches_span(q, n):
+    space = Space.get(q, n)
+    rng = random.Random(f"join:{q}:{n}")
+    nlines = len(space.grassmannian(1))
+    for size in range(1, n + 2):
+        for _ in range(100):
+            # repeated and dependent lines included
+            lines = tuple(rng.randrange(nlines) for _ in range(size))
+            for k in range(n + 1):
+                assert space.line_join_index(lines, k) == span_join_index(space, lines, k)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
+def test_mask_meeting_and_cohyperplanar_match_spans(q, n):
+    space = Space.get(q, n)
+    for d in range(1, n + 1):
+        for s in space.grassmannian(d):
+            for k in range(n + 1):
+                assert planes_meeting(space, s, k) == span_planes_meeting(space, s, k)
+                assert planes_cohyperplanar(space, s, k) == span_planes_cohyperplanar(space, s, k)
+    for build in (planes_meeting, planes_cohyperplanar):
+        with pytest.raises(ValueError):
+            build(space, space.zero_subspace, 2)

@@ -118,3 +118,13 @@ def test_automorphisms_fix_prime_field(q):
     for sigma in f.automorphisms():
         for a in prime_elems:
             assert sigma(a) == a
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_automorphisms_built_once_per_field(q):
+    f = field(q)
+    assert f.automorphisms() is f.automorphisms()
+    for j in range(-f.m, 2 * f.m):
+        assert f.frobenius(j) is f.frobenius(j + f.m)
+        assert f.frobenius(j) is f.automorphisms()[j % f.m]
+    assert f.identity_automorphism is f.frobenius(0)

@@ -4,10 +4,13 @@ Each case runs `qgrass` on a committed map table or plane set in
 `tests/golden/` and compares stdout byte for byte with `<case>.stdout` and
 the exit code with `exit_codes.json`.  The map tables cover every classifier
 branch: a line table with a Frobenius twist at (4,3,1), the adjacency-based
-classifier on a linear and on a form-composed (2,4,2) table and on a (2,5,2)
-table, the conjugation at (2,4,3), and a corrupted (2,4,2) table.  The inputs
-are files rather than tables rebuilt by `induced_map`, so an error shared by
-the code that builds tables and the code that classifies them still shows.
+classifier on a linear and on a form-composed (2,4,2) table and on linear
+(2,5,2) and (3,5,2) tables, the conjugation at (2,4,3), and a corrupted
+(2,4,2) table.  The (3,5,2) output was recorded while the incidence and
+distance tables were still built by row reduction (15 s per call).  The
+inputs are files rather than tables rebuilt by `induced_map`, so an error
+shared by the code that builds tables and the code that classifies them
+still shows.
 
 To re-record a case after an intended output change, run the same command
 from `tests/golden/` and overwrite its `.stdout` file.
@@ -28,6 +31,7 @@ CASES = {
     "classify-form-2-4-2": ["classify", "--in", "form-2-4-2.maptable"],
     "classify-linear-2-4-3": ["classify", "--in", "linear-2-4-3.maptable"],
     "classify-linear-2-5-2": ["classify", "--in", "linear-2-5-2.maptable"],
+    "classify-linear-3-5-2": ["classify", "--in", "linear-3-5-2.maptable"],
     "classify-corrupted-2-4-2": ["classify", "--in", "corrupted-2-4-2.maptable"],
 }
 for name in ("regular", "meeting", "superset"):
