@@ -25,8 +25,7 @@ import sys
 import time
 
 from .gf import UnsupportedOrderError
-from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, gaussian_binomial
-from .harness import CHECKS, InfeasibleScopeError, _subspace_cert, run_check
+from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, _subspace_cert, gaussian_binomial
 from .irregularity import characteristics, is_irregular, is_maximal_irregular
 from .reconstruction import (
     AutomorphismMismatchError,
@@ -49,9 +48,9 @@ class UsageError(ValueError):
     """Arguments or file contents outside what the command is defined for."""
 
 
-# the most planes `classify` accepts: up to it every call takes seconds and
-# under 100 MB; the next sizes take 15 s and more, and G_2(F_4^5) would need
-# a 33.6 M-entry distance matrix
+# the most planes `classify` accepts: up to it every call takes about a
+# second and under 100 MB; the distance matrix grows with the square of the
+# plane count, and G_2(F_4^5) would need one of 33.6 M entries
 MAX_CLASSIFY_PLANES = 1_500
 
 # the least k and the least n - k each analyze mode is defined for
@@ -329,6 +328,10 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    # verify and checks import the harness themselves, so that the other
+    # commands do not load it
+    from .harness import InfeasibleScopeError, run_check
+
     t0 = time.time()
     params = {"theorem": args.theorem, "q": args.q, "n": args.n, "k": args.k, "seed": args.seed}
     try:
@@ -392,6 +395,8 @@ def build_parser():
 
 
 def cmd_checks(args):
+    from .harness import CHECKS
+
     for cid in sorted(CHECKS):
         _, statement, envelope = CHECKS[cid]
         print(f"{cid}: {statement} [{envelope}]")

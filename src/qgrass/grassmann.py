@@ -105,6 +105,12 @@ class Subspace:
         return f"Subspace(GF({self.field.q})^{self.n}, {list(map(list, self.rows))})"
 
 
+def _subspace_cert(s):
+    """A subspace as its rref rows in lists, as reports and certificates
+    print it."""
+    return [list(r) for r in s.rows]
+
+
 def join(a, b):
     _check_pair(a, b)
     return Subspace.span(a.field, a.n, a.rows + b.rows)
@@ -285,11 +291,15 @@ class Space:
         table = self._incidence.get(key)
         if table is not None:
             return table
-        gm = self.grassmannian(m)
         if k == 1 and m >= 1:
-            # lines of each plane, read off directly from the plane's vectors
+            # the points of each plane: the span of the lines of its rref rows
             line_of = self.vector_lines()
-            table = [tuple(sorted({line_of[v] for v in s.vectors() if any(v)})) for s in gm]
+            table = []
+            for s in self.grassmannian(m):
+                mask, points = 0, ()
+                for row in s.rows:
+                    mask, points = self.span_with(mask, points, line_of[row])
+                table.append(tuple(sorted(points)))
         else:
             small, big = self.point_masks(min(k, m)), self.point_masks(max(k, m))
             if k < m:

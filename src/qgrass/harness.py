@@ -27,6 +27,7 @@ from .grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    _subspace_cert,
     gaussian_binomial,
     maximal_adjacent_families,
     meet,
@@ -49,9 +50,9 @@ from .maps import SemilinearMap, induced_map
 from .regularity import (
     CoordinateSystem,
     _coordinate_system_indices,
+    _degree,
     all_coordinate_systems,
     associated_systems,
-    degree,
     exactness_threshold,
     hypergraph_view,
     is_regular,
@@ -100,10 +101,6 @@ def _space(q, n):
 def _require(cond, envelope):
     if not cond:
         raise InfeasibleScopeError(envelope)
-
-
-def _subspace_cert(s):
-    return [list(r) for r in s.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +169,16 @@ def random_irregular(space, k, rng, tries=200):
 # hypergraph shape tests used by the degree theorems
 
 
-def _hypergraphs(plane_set):
+def _hypergraphs(plane_set, systems):
     """Axis-set views of a regular set, one per associated system."""
-    out = []
-    for system in associated_systems(plane_set):
-        out.append(frozenset(frozenset(a) for a in hypergraph_view(plane_set, system)))
-    return out
+    return [frozenset(frozenset(a) for a in hypergraph_view(plane_set, s)) for s in systems]
 
 
-def _is_deg1_extremal_shape(plane_set, n, k):
+def _is_deg1_extremal_shape(plane_set, systems, n, k):
     """Union of a coordinate-hyperplane trace and the pencil through one
     coordinate 2-plane not inside it; the only shape of degree exactly 1
     among large regular sets."""
-    for hg in _hypergraphs(plane_set):
+    for hg in _hypergraphs(plane_set, systems):
         for i, j in combinations(range(n), 2):
             for h in (i, j):
                 target = frozenset(
@@ -197,18 +191,18 @@ def _is_deg1_extremal_shape(plane_set, n, k):
     return False
 
 
-def _is_axis_pencil_shape(plane_set, n, k):
+def _is_axis_pencil_shape(plane_set, systems, n, k):
     """All coordinate k-planes through one axis."""
-    for hg in _hypergraphs(plane_set):
+    for hg in _hypergraphs(plane_set, systems):
         for i in range(n):
             if hg == frozenset(frozenset(a) for a in combinations(range(n), k) if i in a):
                 return True
     return False
 
 
-def _is_hyperplane_trace_shape(plane_set, n, k):
+def _is_hyperplane_trace_shape(plane_set, systems, n, k):
     """All coordinate k-planes avoiding one axis."""
-    for hg in _hypergraphs(plane_set):
+    for hg in _hypergraphs(plane_set, systems):
         for h in range(n):
             if hg == frozenset(frozenset(a) for a in combinations(range(n), k) if h not in a):
                 return True
@@ -380,8 +374,9 @@ def check_thm_2_2_1(q, n, k, rng):
     deg1 = 0
     for rp in _regular_subset_sweep(space, k, threshold):
         checked += 1
-        d, _ = degree(rp)
-        shape = _is_deg1_extremal_shape(rp, n, k)
+        systems = associated_systems(rp)
+        d, _ = _degree(rp, systems)
+        shape = _is_deg1_extremal_shape(rp, systems, n, k)
         if d > 1 or (d == 1) != shape or (len(rp) > threshold and d != 0):
             return CheckResult(
                 "thm-2.2.1",
@@ -412,10 +407,11 @@ def check_thm_2_2_2(q, n, k, rng):
         for size in range(0, n + 1):
             for subset in combinations(range(len(g1)), size):
                 rp = PlaneSet(g1, subset)
-                if is_regular(rp) is None:
+                systems = associated_systems(rp)
+                if not systems:
                     continue
                 checked += 1
-                d, _ = degree(rp)
+                d, _ = _degree(rp, systems)
                 if d != n - size:
                     return CheckResult(
                         "thm-2.2.2",
@@ -441,8 +437,9 @@ def check_thm_2_2_2(q, n, k, rng):
             "every coordinate system swept"
         )
 
-        def is_extremal(rp):
-            return _is_axis_pencil_shape(rp, n, k) or _is_hyperplane_trace_shape(rp, n, k)
+        def is_extremal(rp, systems):
+            return (_is_axis_pencil_shape(rp, systems, n, k)
+                    or _is_hyperplane_trace_shape(rp, systems, n, k))
 
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
@@ -471,18 +468,19 @@ def check_thm_2_2_2(q, n, k, rng):
             f"canonical system of G_{k}^{n}(GF({q})) plus 10 random transported systems"
         )
         if n - k < k:
-            def is_extremal(rp):
-                return _is_axis_pencil_shape(rp, n, k)
+            def is_extremal(rp, systems):
+                return _is_axis_pencil_shape(rp, systems, n, k)
         else:
-            def is_extremal(rp):
-                return _is_hyperplane_trace_shape(rp, n, k)
+            def is_extremal(rp, systems):
+                return _is_hyperplane_trace_shape(rp, systems, n, k)
 
     checked = 0
     deg2 = 0
     for rp in sweep:
         checked += 1
-        d, _ = degree(rp)
-        shape = is_extremal(rp)
+        systems = associated_systems(rp)
+        d, _ = _degree(rp, systems)
+        shape = is_extremal(rp, systems)
         if d > 2 or (d == 2) != shape:
             return CheckResult(
                 "thm-2.2.2",

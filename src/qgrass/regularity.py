@@ -182,26 +182,41 @@ def degree(plane_set):
     Iterative deepening over d; for each associated system in canonical
     order, each d-subset of its unused coordinate planes is tried, and the
     first exact union wins.  A maximal superset is always exact, so the
-    search terminates.
+    search terminates.  An exact set is its own witness (d = 0).
     """
-    systems = associated_systems(plane_set)
+    return _degree(plane_set, associated_systems(plane_set))
+
+
+def _degree(plane_set, systems):
+    """`degree` given the set's associated systems, from one covering search.
+
+    A system covering R | X also covers R, so it is one of `systems`.  Each
+    coordinate plane gets a bitmask over the positions of the systems that
+    have it; R | X, with X among the unused planes of system s, is exact
+    exactly when the AND of the masks over X is s's bit alone.
+    """
     if not systems:
         raise NotRegularError("degree is defined for regular sets")
+    if len(systems) == 1:
+        return 0, plane_set
     k = plane_set.gr.k
+    held_by = {}
     extras = []
-    for sys_ in systems:
-        planes = sys_.coordinate_planes(k)
-        extras.append(tuple(i for i in planes.indices if i not in plane_set.iset))
-    d = 0
-    while True:
-        for extra in extras:
+    for pos, sys_ in enumerate(systems):
+        planes = sys_.coordinate_planes(k).indices
+        for i in planes:
+            held_by[i] = held_by.get(i, 0) | 1 << pos
+        extras.append(tuple(i for i in planes if i not in plane_set.iset))
+    everyone = (1 << len(systems)) - 1
+    for d in range(1, max(len(e) for e in extras) + 1):
+        for pos, extra in enumerate(extras):
             for add in combinations(extra, d):
-                cand = PlaneSet(plane_set.gr, plane_set.iset | set(add))
-                if is_exact(cand):
-                    return d, cand
-        d += 1
-        if d > max(len(e) for e in extras):
-            raise RuntimeError("no exact superset found; maximal sets should be exact")
+                common = everyone
+                for i in add:
+                    common &= held_by[i]
+                if common == 1 << pos:
+                    return d, PlaneSet(plane_set.gr, plane_set.iset | set(add))
+    raise RuntimeError("no exact superset found; maximal sets should be exact")
 
 
 def restrict(plane_set, s):

@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -292,3 +294,10 @@ def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, 
     err = capsys.readouterr().err
     if code == 2:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_import_leaves_harness_unloaded():
+    # analyze and classify need no harness; only verify and checks load it
+    code = "import sys, qgrass.cli; print('qgrass.harness' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -9,13 +9,19 @@ reverse-incidence lookup are compared with one row reduction per plane and
 with the join/meet `induces`; the incidence and distance tables, line joins
 and meeting/cohyperplanar sets read off point masks are compared with echelon
 reductions, per-pair `distance` and spans; and the one-way `induces` is
-compared with the version that also checked preimages and bijectivity.  The
+compared with the version that also checked preimages and bijectivity; the
+degree of inexactness decided from one covering search is compared with one
+`is_exact` search per candidate superset; and the point rows of
+`incidence(1, k)` built by spans are compared with vector enumeration.  The
 replaced implementations are kept here as reference oracles.
 """
 
 import functools
+import importlib.util
 import random
 from itertools import combinations, permutations, product
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +36,7 @@ from qgrass.grassmann import (
     join,
     meet,
 )
-from qgrass.harness import random_invertible, random_semilinear
+from qgrass.harness import _regular_subset_sweep, random_invertible, random_semilinear
 from qgrass.irregularity import (
     Similarity,
     _fingerprint,
@@ -59,9 +65,14 @@ from qgrass.reconstruction import (
     regular_classify,
     regular_violation,
 )
+from qgrass import regularity
 from qgrass.regularity import (
     CoordinateSystem,
+    NotRegularError,
     _coordinate_system_indices,
+    associated_systems,
+    degree,
+    is_exact,
     maximal_regular_family,
 )
 
@@ -386,6 +397,36 @@ def span_planes_cohyperplanar(space, s, k):
     return PlaneSet(
         gk, (i for i, l in enumerate(gk) if Subspace.span(space.field, space.n, l.rows + s.rows).k < space.n)
     )
+
+
+def per_candidate_degree(plane_set):
+    """`degree` with one `is_exact` covering search per candidate superset."""
+    systems = associated_systems(plane_set)
+    if not systems:
+        raise NotRegularError("degree is defined for regular sets")
+    k = plane_set.gr.k
+    extras = []
+    for sys_ in systems:
+        planes = sys_.coordinate_planes(k)
+        extras.append(tuple(i for i in planes.indices if i not in plane_set.iset))
+    d = 0
+    while True:
+        for extra in extras:
+            for add in combinations(extra, d):
+                cand = PlaneSet(plane_set.gr, plane_set.iset | set(add))
+                if is_exact(cand):
+                    return d, cand
+        d += 1
+        if d > max(len(e) for e in extras):
+            raise RuntimeError("no exact superset found; maximal sets should be exact")
+
+
+def vector_line_incidence(space, k):
+    """`incidence(1, k)`: the lines of each plane, one per nonzero vector."""
+    line_of = space.vector_lines()
+    return [
+        tuple(sorted({line_of[v] for v in s.vectors() if any(v)})) for s in space.grassmannian(k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -723,3 +764,85 @@ def test_mask_meeting_and_cohyperplanar_match_spans(q, n):
     for build in (planes_meeting, planes_cohyperplanar):
         with pytest.raises(ValueError):
             build(space, space.zero_subspace, 2)
+
+
+def assert_same_degree(plane_sets):
+    for ps in plane_sets:
+        d, witness = degree(ps)
+        want_d, want = per_candidate_degree(ps)
+        assert (d, witness.indices) == (want_d, want.indices), ps.indices
+
+
+def test_mask_degree_matches_per_candidate_search_on_every_line_set():
+    g1 = Space.get(2, 4).grassmannian(1)
+    regular = [
+        ps
+        for size in range(5)
+        for ps in (PlaneSet(g1, c) for c in combinations(range(15), size))
+        if regularity.is_regular(ps) is not None
+    ]
+    # the independent m-sets of F_2^4: ordered bases of m-spaces over m!
+    assert len(regular) == sum(
+        prod(16 - 2 ** i for i in range(m)) // factorial(m) for m in range(5)
+    )
+    assert_same_degree(regular)
+
+
+def test_mask_degree_matches_per_candidate_search_at_2_4_2():
+    space = Space.get(2, 4)
+    rng = random.Random("degree:2:4:2")
+    by_size = {}
+    for ps in _regular_subset_sweep(space, 2, 1):
+        by_size.setdefault(len(ps), []).append(ps)
+    # sampled: the oracle takes about a second per single plane, and two
+    # minutes for all 17,430 sets
+    for size, count in zip(range(1, 7), (2, 20, 200, 400, 400, 200)):
+        assert_same_degree(rng.sample(by_size[size], count))
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+def test_mask_degree_matches_per_candidate_search_on_seeded_sets(q, n):
+    space = Space.get(q, n)
+    rng = random.Random(f"degree:{q}:{n}")
+    sets = []
+    for _ in range(12):
+        lines = [Subspace.span(space.field, n, [r]) for r in random_invertible(space.field, n, rng).rows]
+        planes = CoordinateSystem(space, lines).coordinate_planes(2).indices
+        sets.append(PlaneSet(space.grassmannian(2), rng.sample(planes, rng.randint(4, len(planes)))))
+    assert_same_degree(sets)
+
+
+def test_mask_degree_matches_per_candidate_search_on_benchmark_sets():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    w = workloads.RegularDegree()
+    specs = w.generate(random.Random(f"{w.name}:0"), None)[:240]
+    assert_same_degree(w.materialize(s) for s in specs)
+
+
+def test_degree_runs_one_covering_search(monkeypatch):
+    searches = []
+    search = regularity._covering_system_indices
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_covering_system_indices", counted)
+    space = Space.get(2, 4)
+    planes = regularity.all_coordinate_systems(space)[0].coordinate_planes(2).indices
+    degrees = []
+    for size in range(1, 7):
+        searches.clear()
+        degrees.append(degree(PlaneSet(space.grassmannian(2), planes[:size]))[0])
+        assert len(searches) == 1
+    assert degrees == [3, 2, 2, 1, 0, 0]
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES)
+def test_span_line_incidence_matches_vector_enumeration(q, n):
+    space = Space.get(q, n)
+    for k in range(2, n + 1):
+        assert space.incidence(1, k) == vector_line_incidence(space, k)
