@@ -7,7 +7,9 @@ inside a sub-Grassmannian, and similarity testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 
 from .forms import dot_form, form_map, orth_complement, standard_symplectic
 from .grassmann import (
@@ -17,7 +19,6 @@ from .grassmann import (
     Subspace,
     gaussian_binomial,
     incidence_set,
-    join,
     meet,
 )
 from .linalg import EchelonBasis, Mat
@@ -34,69 +35,110 @@ class NotIrregularError(ValueError):
     """Operation needs an irregular plane set."""
 
 
-def _systems_within(space, k, allowed, forced=None):
-    """Yield line-index tuples of coordinate systems all of whose coordinate
-    k-planes lie in `allowed` (with `forced` additionally required to be a
-    coordinate plane; its own join is exempt from the membership test).
+def _join_masks(plane_set):
+    """For each (k-1)-plane W, the OR of the point masks of the set's planes
+    through W (W is the zero space at k = 1).  A line t outside W joins W to
+    a plane of the set exactly when t's bit is set in W's entry."""
+    space, k = plane_set.gr.space, plane_set.gr.k
+    masks = space.point_masks(k)
+    faces = space.incidence(k - 1, k)
+    ok = [0] * len(space.grassmannian(k - 1))
+    for p in plane_set.iset:
+        for w in faces[p]:
+            ok[w] |= masks[p]
+    return ok
 
-    Pruned as soon as a completed k-subset of chosen lines joins outside the
-    allowed set, so searches over irregular sets die early.  The span of the
-    chosen lines is carried as a point bitmask (`Space.span_with`), so a
-    candidate line is independent exactly when its bit is clear.
+
+def _systems_within(space, k, ok, forced=None):
+    """Yield line-index tuples of coordinate systems all of whose coordinate
+    k-planes lie in the set with join masks `ok` (`_join_masks`), with
+    `forced` additionally required to be a coordinate plane; its own join is
+    exempt from the membership test.
+
+    The span of the chosen lines is carried as a point bitmask
+    (`Space.span_with`), and beside it the mask `compat` of the lines that
+    join every (k-1)-subset of the chosen lines to a plane of the set, so
+    the candidates at a node are the set bits of `compat & ~span`.  Accepting
+    t ANDs into `compat` the entry of each (k-1)-plane that t spans with k-2
+    chosen lines.  Candidates are taken in ascending order above the last
+    chosen line, leaving out those with fewer candidates after them than
+    there are free slots, so searches over irregular sets die early.
     """
     nlines = len(space.grassmannian(1))
     n = space.n
     join_idx = space.line_join_index
     span_with = space.span_with
 
-    def extend(chosen, mask, points, candidates, start):
+    def narrow(compat, chosen, t):
+        # t spans no (k-1)-plane with chosen lines at k = 1, and t itself at k = 2
+        if k <= 2:
+            return compat & ok[t] if k == 2 else compat
+        for sub in combinations(chosen, k - 2):
+            compat &= ok[join_idx(sub + (t,), k - 1)]
+        return compat
+
+    def extend(chosen, mask, points, compat, above):
         if len(chosen) == n:
             yield tuple(sorted(chosen))
             return
-        slots = n - len(chosen)
-        for ci in range(start, len(candidates) - slots + 1):
-            t = candidates[ci]
-            if mask >> t & 1:
-                continue
-            ok = True
-            for sub in combinations(chosen, k - 1):
-                if join_idx(sub + (t,), k) not in allowed:
-                    ok = False
-                    break
-            if ok:
-                yield from extend(chosen + (t,), *span_with(mask, points, t), candidates, ci + 1)
+        cand = compat & ~mask & above & tails[n - len(chosen)]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            yield from extend(
+                chosen + (t,), *span_with(mask, points, t), narrow(compat, chosen, t), -(low << 1)
+            )
 
+    def tail_masks(candidates):
+        # by free slots: the lines up to the last candidate that leaves
+        # enough candidates after it
+        return [0] + [
+            (2 << candidates[-slots]) - 1 if slots <= len(candidates) else 0 for slots in range(1, n + 1)
+        ]
+
+    start = ok[0] if k == 1 else -1     # -1: every line
     if forced is None:
-        yield from extend((), 0, (), tuple(range(nlines)), 0)
+        tails = tail_masks(range(nlines))
+        yield from extend((), 0, (), start, -1)
         return
     lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
     inside = set(lines_in)
-    others = tuple(t for t in range(nlines) if t not in inside)
+    tails = tail_masks([t for t in range(nlines) if t not in inside])
     for base in combinations(lines_in, k):
-        mask, points = 0, ()
-        for t in base:
+        mask, points, compat = 0, (), start
+        for i, t in enumerate(base):
             if mask >> t & 1:
                 break
             mask, points = span_with(mask, points, t)
+            compat = narrow(compat, base[:i], t)
         else:
-            yield from extend(base, mask, points, others, 0)
+            yield from extend(base, mask, points, compat, -1)
+
+
+def _first_system(plane_set, ok, forced=None):
+    """The first system of `_systems_within` on the set's join masks, or None."""
+    space = plane_set.gr.space
+    idxs = next(_systems_within(space, plane_set.gr.k, ok, forced), None)
+    return None if idxs is None else CoordinateSystem.from_line_indices(space, idxs)
+
+
+def _outside_planes_complete(plane_set, ok):
+    """Every plane outside the set completes some inside subset to a
+    maximal regular set."""
+    outside = (l for l in range(len(plane_set.gr)) if l not in plane_set.iset)
+    return all(_first_system(plane_set, ok, l) is not None for l in outside)
 
 
 def contains_maximal_regular(plane_set):
     """A coordinate system with all coordinate k-planes inside the set, or None."""
-    space = plane_set.gr.space
-    for idxs in _systems_within(space, plane_set.gr.k, plane_set.iset):
-        return CoordinateSystem.from_line_indices(space, idxs)
-    return None
+    return _first_system(plane_set, _join_masks(plane_set))
 
 
 def completion_witness(plane_set, plane_index):
     """A system realizing the outside plane as a coordinate plane with every
     other coordinate plane inside the set; None when no such system exists."""
-    space = plane_set.gr.space
-    for idxs in _systems_within(space, plane_set.gr.k, plane_set.iset, forced=plane_index):
-        return CoordinateSystem.from_line_indices(space, idxs)
-    return None
+    return _first_system(plane_set, _join_masks(plane_set), plane_index)
 
 
 def is_irregular(plane_set):
@@ -107,12 +149,10 @@ def is_irregular(plane_set):
 def is_maximal_irregular(plane_set):
     """Irregular, and every outside plane completes some inside subset to a
     maximal regular set."""
-    if not is_irregular(plane_set):
+    if is_regular(plane_set) is not None:
         return False
-    for l in range(len(plane_set.gr)):
-        if l not in plane_set.iset and completion_witness(plane_set, l) is None:
-            return False
-    return True
+    ok = _join_masks(plane_set)
+    return _first_system(plane_set, ok) is None and _outside_planes_complete(plane_set, ok)
 
 
 def complete_to_maximal_irregular(plane_set):
@@ -120,23 +160,20 @@ def complete_to_maximal_irregular(plane_set):
 
     A plane may be added exactly when no coordinate system realizes it
     together with planes already present, and one pass yields a maximal
-    irregular superset."""
-    if not is_irregular(plane_set):
+    irregular superset; the input itself when it is already maximal."""
+    ok = _join_masks(plane_set)
+    if is_regular(plane_set) is not None or _first_system(plane_set, ok) is not None:
         raise NotIrregularError("completion starts from an irregular set")
     gr = plane_set.gr
-    space = gr.space
-    k = gr.k
-    current = set(plane_set.iset)
+    masks = gr.space.point_masks(gr.k)
+    faces = gr.space.incidence(gr.k - 1, gr.k)
+    added = []
     for l in range(len(gr)):
-        if l in current:
-            continue
-        blocked = False
-        for _ in _systems_within(space, k, frozenset(current), forced=l):
-            blocked = True
-            break
-        if not blocked:
-            current.add(l)
-    return PlaneSet(gr, current)
+        if l not in plane_set.iset and _first_system(plane_set, ok, l) is None:
+            added.append(l)
+            for w in faces[l]:
+                ok[w] |= masks[l]
+    return PlaneSet(gr, plane_set.iset.union(added)) if added else plane_set
 
 
 def _point_mask(space, s):
@@ -177,6 +214,14 @@ class Characteristics:
     hyperplane_core_dim: int         # n when no hyperplane is saturated
 
 
+def _subspace_of_mask(space, mask):
+    """The subspace whose points are the set bits of `mask`: its dimension e
+    is read off the popcount (q^e - 1)/(q - 1)."""
+    count, q = mask.bit_count(), space.field.q
+    e = next(e for e in range(space.n + 1) if gaussian_binomial(e, 1, q) == count)
+    return space.grassmannian(e)[space.mask_index(e)[mask]]
+
+
 def characteristics(plane_set):
     space = plane_set.gr.space
     k = plane_set.gr.k
@@ -184,28 +229,27 @@ def characteristics(plane_set):
     if k <= 1 or k >= n - 1:
         raise ValueError("characteristics need 1 < k < n-1")
     iset = plane_set.iset
-    g1 = space.grassmannian(1)
-    gh = space.grassmannian(n - 1)
     through = space.incidence(k, 1)
     inside = space.incidence(k, n - 1)
-    nlines = [t for t in range(len(g1)) if set(through[t]) <= iset]
-    nhyps = [t for t in range(len(gh)) if set(inside[t]) <= iset]
+    nlines = [t for t in range(len(through)) if iset.issuperset(through[t])]
+    nhyps = [t for t in range(len(inside)) if iset.issuperset(inside[t])]
+    span = core = None
     if nlines:
-        span = g1[nlines[0]]
-        for t in nlines[1:]:
-            span = join(span, g1[t])
-        span_dim = span.k
-    else:
-        span, span_dim = None, 0
+        mask, points = 0, ()
+        for t in nlines:
+            if not mask >> t & 1:
+                mask, points = space.span_with(mask, points, t)
+        span = _subspace_of_mask(space, mask)
     if nhyps:
-        core = gh[nhyps[0]]
-        for t in nhyps[1:]:
-            core = meet(core, gh[t])
-        core_dim = core.k
-    else:
-        core, core_dim = None, n
+        hyp_masks = space.point_masks(n - 1)
+        core = _subspace_of_mask(space, reduce(and_, (hyp_masks[t] for t in nhyps)))
     return Characteristics(
-        PlaneSet(g1, nlines), span, span_dim, PlaneSet(gh, nhyps), core, core_dim
+        PlaneSet(space.grassmannian(1), nlines),
+        span,
+        span.k if span is not None else 0,
+        PlaneSet(space.grassmannian(n - 1), nhyps),
+        core,
+        core.k if core is not None else n,
     )
 
 
@@ -357,11 +401,12 @@ def restricted_status(plane_set, t):
         images = [orth_complement(omega, l) for l in trace.members()]
         sub_space, members = _embed_top(space, images, t_star)
         sub = PlaneSet.from_subspaces(sub_space.grassmannian(space.n - k), members)
-    if contains_maximal_regular(sub) is not None:
+    ok = _join_masks(sub)
+    if _first_system(sub, ok) is not None:
         return STATUS_CONTAINS_MAXIMAL_REGULAR
     if is_regular(sub) is not None:
         return STATUS_REGULAR
-    if is_maximal_irregular(sub):
+    if _outside_planes_complete(sub, ok):
         return STATUS_MAXIMAL_IRREGULAR
     return STATUS_IRREGULAR
 

@@ -3,10 +3,11 @@
 The certify-first classifier, the lazy walk over line coordinate systems and
 the row-reduction-free similarity search are compared with the scan-first and
 per-matrix implementations they replaced; the coordinate-system searches that
-carry spans as point bitmasks are compared with the echelon-basis searches
-they replaced; induced tables lifted from the line table through the
-reverse-incidence lookup are compared with one row reduction per plane and
-with the join/meet `induces`; the incidence and distance tables, line joins
+carry spans as point bitmasks and test candidates by join masks are compared
+with the echelon-basis, join-per-candidate searches they replaced, and the
+characteristics read off masks with the join/meet version; induced tables
+lifted from the line table through the reverse-incidence lookup are compared
+with one row reduction per plane and with the join/meet `induces`; the incidence and distance tables, line joins
 and meeting/cohyperplanar sets read off point masks are compared with echelon
 reductions, per-pair `distance` and spans; and the one-way `induces` is
 compared with the version that also checked preimages and bijectivity; the
@@ -38,6 +39,7 @@ from qgrass.grassmann import (
 )
 from qgrass.harness import _regular_subset_sweep, random_invertible, random_semilinear
 from qgrass.irregularity import (
+    Characteristics,
     Similarity,
     _fingerprint,
     _invertible_matrices,
@@ -50,6 +52,7 @@ from qgrass.irregularity import (
     deficient_irregular,
     deficient_irregular_dual,
     is_irregular,
+    is_maximal_irregular,
     planes_cohyperplanar,
     planes_meeting,
 )
@@ -65,7 +68,7 @@ from qgrass.reconstruction import (
     regular_classify,
     regular_violation,
 )
-from qgrass import regularity
+from qgrass import irregularity, regularity
 from qgrass.regularity import (
     CoordinateSystem,
     NotRegularError,
@@ -421,6 +424,30 @@ def per_candidate_degree(plane_set):
             raise RuntimeError("no exact superset found; maximal sets should be exact")
 
 
+def join_meet_characteristics(plane_set):
+    """`characteristics` with one `join` per saturated line and one `meet`
+    per saturated hyperplane."""
+    space = plane_set.gr.space
+    k, n = plane_set.gr.k, space.n
+    g1, gh = space.grassmannian(1), space.grassmannian(n - 1)
+    through, inside = space.incidence(k, 1), space.incidence(k, n - 1)
+    nlines = [t for t in range(len(g1)) if set(through[t]) <= plane_set.iset]
+    nhyps = [t for t in range(len(gh)) if set(inside[t]) <= plane_set.iset]
+    span = core = None
+    for t in nlines:
+        span = g1[t] if span is None else join(span, g1[t])
+    for t in nhyps:
+        core = gh[t] if core is None else meet(core, gh[t])
+    return Characteristics(
+        PlaneSet(g1, nlines),
+        span,
+        0 if span is None else span.k,
+        PlaneSet(gh, nhyps),
+        core,
+        n if core is None else core.k,
+    )
+
+
 def vector_line_incidence(space, k):
     """`incidence(1, k)`: the lines of each plane, one per nonzero vector."""
     line_of = space.vector_lines()
@@ -598,45 +625,98 @@ def test_maximal_regular_witness_matches_echelon_search_on_every_line_set():
     )
 
 
-def irregular_sets(space, rng):
-    """Seeded irregular 2-plane sets: small random sets, meeting and
-    cohyperplanar sets of each dimension, one deficient construction of each
-    kind."""
+def irregular_sets(space, k, rng):
+    """Seeded irregular k-plane sets: small random sets, meeting and
+    cohyperplanar sets of each dimension, and at 1 < k < n-1 one deficient
+    construction of each kind."""
     n = space.n
-    g2 = space.grassmannian(2)
+    gk = space.grassmannian(k)
     sets = []
     while len(sets) < 3:
-        ps = PlaneSet(g2, rng.sample(range(len(g2)), rng.randint(n + 1, 3 * n)))
+        ps = PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(n + 1, 3 * n)))
         if is_irregular(ps):
             sets.append(ps)
-    for m in range(1, n - 1):
+    for m in range(1, n - k + 1):
         s = space.grassmannian(m)[rng.randrange(len(space.grassmannian(m)))]
-        sets.append(planes_meeting(space, s, 2))
-    for m in range(n - 2, n):
+        sets.append(planes_meeting(space, s, k))
+    # at k = n-1 the set cohyperplanar with a hyperplane is that hyperplane
+    for m in range(n - k, n - 1 if k == n - 1 else n):
         s = space.grassmannian(m)[rng.randrange(len(space.grassmannian(m)))]
-        sets.append(planes_cohyperplanar(space, s, 2))
-    for build, ds in ((deficient_irregular, n - 3), (deficient_irregular_dual, n - 1)):
-        s = space.grassmannian(ds)[rng.randrange(len(space.grassmannian(ds)))]
-        t = next(t for t in space.grassmannian(n - ds) if meet(s, t).k == 0)
-        sets.append(build(space, s, t).result)
+        sets.append(planes_cohyperplanar(space, s, k))
+    if 1 < k < n - 1:
+        for build, ds in ((deficient_irregular, n - k - 1), (deficient_irregular_dual, n - k + 1)):
+            s = space.grassmannian(ds)[rng.randrange(len(space.grassmannian(ds)))]
+            t = next(t for t in space.grassmannian(n - ds) if meet(s, t).k == 0)
+            sets.append(build(space, s, t).result)
     return sets
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_completion_matches_echelon_search(n):
-    space = Space.get(2, n)
-    rng = random.Random(f"completion:{n}")
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 4, 3)])
+def test_completion_matches_echelon_search(q, n, k):
+    space = Space.get(q, n)
+    rng = random.Random(f"completion:{q}:{n}:{k}")
     outside = witnesses = 0
-    for ps in irregular_sets(space, rng):
+    for ps in irregular_sets(space, k, rng):
         assert is_irregular(ps)
         for l in range(len(ps.gr)):
             if l not in ps.iset:
-                want = next(echelon_systems_within(space, 2, ps.iset, forced=l), None)
+                want = next(echelon_systems_within(space, k, ps.iset, forced=l), None)
                 assert line_indices(completion_witness(ps, l)) == want
                 outside += 1
                 witnesses += want is not None
-        assert complete_to_maximal_irregular(ps) == echelon_complete(ps)
+        completed = complete_to_maximal_irregular(ps)
+        assert completed == echelon_complete(ps)
+        # a maximal set is its own completion, returned as it is
+        assert (completed is ps) == (completed == ps)
+        assert is_maximal_irregular(completed) and complete_to_maximal_irregular(completed) is completed
     assert 0 < witnesses < outside
+
+
+@pytest.mark.parametrize(
+    "q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 4, 3), (2, 5, 1), (2, 5, 4), (3, 3, 1)]
+)
+def test_maximal_regular_witness_matches_echelon_search_on_seeded_sets(q, n, k):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"maximal-regular:{q}:{n}:{k}")
+    found = 0
+    for _ in range(40):
+        ps = PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(1, len(gk) - 1)))
+        want = next(echelon_systems_within(space, k, ps.iset), None)
+        assert line_indices(contains_maximal_regular(ps)) == want
+        found += want is not None
+    assert 0 < found < 40
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
+def test_mask_characteristics_match_join_meet(q, n, k):
+    space = Space.get(q, n)
+    sets = irregular_sets(space, k, random.Random(f"characteristics:{q}:{n}:{k}"))
+    sets += [complete_to_maximal_irregular(ps) for ps in sets]
+    seen = set()
+    for ps in sets:
+        got = characteristics(ps)
+        assert got == join_meet_characteristics(ps)
+        seen.add((got.line_span_dim, got.hyperplane_core_dim))
+    # spans and cores of several dimensions, and sets without either
+    assert (0, n) in seen and len(seen) >= 5
+
+
+def test_maximality_and_completion_build_join_masks_once(monkeypatch):
+    builds = []
+    build = irregularity._join_masks
+
+    def counted(plane_set):
+        builds.append(plane_set)
+        return build(plane_set)
+
+    monkeypatch.setattr(irregularity, "_join_masks", counted)
+    space = Space.get(2, 4)
+    for ps in irregular_sets(space, 2, random.Random("join-masks")):
+        for decide in (is_maximal_irregular, complete_to_maximal_irregular):
+            builds.clear()
+            decide(ps)
+            assert len(builds) == 1
 
 
 @pytest.mark.parametrize(
