@@ -23,10 +23,11 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from .gf import UnsupportedOrderError
 from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, _subspace_cert, gaussian_binomial
-from .irregularity import characteristics, is_irregular, is_maximal_irregular
+from .irregularity import characteristics, contains_maximal_regular, is_irregular, is_maximal_irregular
 from .reconstruction import (
     AutomorphismMismatchError,
     NotDistancePreservingError,
@@ -35,7 +36,7 @@ from .reconstruction import (
     chow_classify,
     regular_classify,
 )
-from .regularity import NotRegularError, degree, is_exact, is_maximal_regular, is_regular
+from .regularity import NotRegularError, _degree, associated_systems
 
 SCHEMA = "qgrass-report/1"
 
@@ -52,6 +53,10 @@ class UsageError(ValueError):
 # second and under 100 MB; the distance matrix grows with the square of the
 # plane count, and G_2(F_4^5) would need one of 33.6 M entries
 MAX_CLASSIFY_PLANES = 1_500
+
+# the most associated coordinate systems `analyze --mode regular|degree` accepts: `degree` tries
+# subsets of each system's planes, and small sets in large spaces have hundreds of thousands
+MAX_ANALYZE_SYSTEMS = 20_000
 
 # the least k and the least n - k each analyze mode is defined for
 MODE_K = {"regular": (1, 1), "irregular": (1, 1), "characteristics": (2, 2), "degree": (1, 1)}
@@ -106,7 +111,7 @@ def read_plane_set(fp):
         blocks.append(block)
     if len(blocks) != count:
         raise ParseError(f"expected {count} blocks, found {len(blocks)}")
-    indices = []
+    indices, seen = [], set()
     for bi, rows_text in enumerate(blocks):
         if len(rows_text) != k:
             raise ParseError(f"block {bi}: expected {k} rows, found {len(rows_text)}")
@@ -123,8 +128,9 @@ def read_plane_set(fp):
         if s.k != k:
             raise ParseError(f"block {bi}: rows span dimension {s.k}, not {k}")
         idx = gr.index(s)
-        if idx in indices:
+        if idx in seen:
             raise ParseError(f"block {bi}: duplicate plane")
+        seen.add(idx)
         indices.append(idx)
     return PlaneSet(gr, indices)
 
@@ -225,17 +231,24 @@ def cmd_analyze(args):
     params = {"in": args.infile, "mode": args.mode}
     certificates = {}
     verdicts = []
-    if args.mode == "regular":
-        system = is_regular(ps)
-        if system is None:
+    if args.mode in ("regular", "degree"):
+        # one covering search serves the certificate, maximality, exactness and the degree
+        systems = associated_systems(ps, limit=MAX_ANALYZE_SYSTEMS + 1)
+        if len(systems) > MAX_ANALYZE_SYSTEMS:
+            raise UsageError(f"over {MAX_ANALYZE_SYSTEMS} associated coordinate systems, the analyze limit")
+        if args.mode == "regular" and not systems:
             verdicts.append("not-regular")
-        else:
+        elif args.mode == "regular":
             verdicts.append("regular")
-            certificates["coordinate_system"] = _system_cert(system)
-            verdicts.append("maximal" if is_maximal_regular(ps) else "not-maximal")
-            exact = is_exact(ps)
-            verdicts.append("exact" if exact else "not-exact")
-            d, witness = degree(ps)
+            certificates["coordinate_system"] = _system_cert(systems[0])
+            verdicts.append("maximal" if len(ps) == comb(n, k) else "not-maximal")
+            verdicts.append("exact" if len(systems) == 1 else "not-exact")
+        if systems or args.mode == "degree":
+            try:
+                d, witness = _degree(ps, systems)
+            except NotRegularError as exc:
+                _emit("analyze", params, [f"error {exc}"], t0=t0)
+                return 1
             verdicts.append(f"degree {d}")
             certificates["exact_superset"] = [_subspace_cert(s) for s in witness.members()]
     elif args.mode == "irregular":
@@ -244,8 +257,6 @@ def cmd_analyze(args):
         if irr:
             verdicts.append("maximal" if is_maximal_irregular(ps) else "not-maximal")
         else:
-            from .irregularity import contains_maximal_regular
-
             witness = contains_maximal_regular(ps)
             if witness is not None:
                 certificates["maximal_regular_witness"] = _system_cert(witness)
@@ -261,14 +272,6 @@ def cmd_analyze(args):
         certificates["saturated_hyperplanes"] = [
             _subspace_cert(s) for s in ch.saturated_hyperplanes.members()
         ]
-    elif args.mode == "degree":
-        try:
-            d, witness = degree(ps)
-        except NotRegularError as exc:
-            _emit("analyze", params, [f"error {exc}"], t0=t0)
-            return 1
-        verdicts.append(f"degree {d}")
-        certificates["exact_superset"] = [_subspace_cert(s) for s in witness.members()]
     _emit("analyze", params, verdicts, certificates, t0=t0)
     return 0
 

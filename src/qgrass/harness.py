@@ -49,8 +49,8 @@ from .linalg import Mat
 from .maps import SemilinearMap, induced_map
 from .regularity import (
     CoordinateSystem,
-    _coordinate_system_indices,
     _degree,
+    _systems_within,
     all_coordinate_systems,
     associated_systems,
     exactness_threshold,
@@ -444,7 +444,7 @@ def check_thm_2_2_2(q, n, k, rng):
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
         threshold = comb(n - 1, k - 1) if n - k < k else comb(n - 1, k)
-        base = CoordinateSystem.from_line_indices(space, next(_coordinate_system_indices(space)))
+        base = CoordinateSystem.from_line_indices(space, next(_systems_within(space, 1, [-1])))
         planes = base.coordinate_planes(k)
         extra_systems = []
         for _ in range(10):

@@ -23,7 +23,7 @@ from .grassmann import (
 )
 from .linalg import EchelonBasis, Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import CoordinateSystem, is_regular
+from .regularity import CoordinateSystem, _systems_within, is_regular
 
 STATUS_REGULAR = "regular-in-sub"
 STATUS_IRREGULAR = "irregular-in-sub"
@@ -47,73 +47,6 @@ def _join_masks(plane_set):
         for w in faces[p]:
             ok[w] |= masks[p]
     return ok
-
-
-def _systems_within(space, k, ok, forced=None):
-    """Yield line-index tuples of coordinate systems all of whose coordinate
-    k-planes lie in the set with join masks `ok` (`_join_masks`), with
-    `forced` additionally required to be a coordinate plane; its own join is
-    exempt from the membership test.
-
-    The span of the chosen lines is carried as a point bitmask
-    (`Space.span_with`), and beside it the mask `compat` of the lines that
-    join every (k-1)-subset of the chosen lines to a plane of the set, so
-    the candidates at a node are the set bits of `compat & ~span`.  Accepting
-    t ANDs into `compat` the entry of each (k-1)-plane that t spans with k-2
-    chosen lines.  Candidates are taken in ascending order above the last
-    chosen line, leaving out those with fewer candidates after them than
-    there are free slots, so searches over irregular sets die early.
-    """
-    nlines = len(space.grassmannian(1))
-    n = space.n
-    join_idx = space.line_join_index
-    span_with = space.span_with
-
-    def narrow(compat, chosen, t):
-        # t spans no (k-1)-plane with chosen lines at k = 1, and t itself at k = 2
-        if k <= 2:
-            return compat & ok[t] if k == 2 else compat
-        for sub in combinations(chosen, k - 2):
-            compat &= ok[join_idx(sub + (t,), k - 1)]
-        return compat
-
-    def extend(chosen, mask, points, compat, above):
-        if len(chosen) == n:
-            yield tuple(sorted(chosen))
-            return
-        cand = compat & ~mask & above & tails[n - len(chosen)]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            t = low.bit_length() - 1
-            yield from extend(
-                chosen + (t,), *span_with(mask, points, t), narrow(compat, chosen, t), -(low << 1)
-            )
-
-    def tail_masks(candidates):
-        # by free slots: the lines up to the last candidate that leaves
-        # enough candidates after it
-        return [0] + [
-            (2 << candidates[-slots]) - 1 if slots <= len(candidates) else 0 for slots in range(1, n + 1)
-        ]
-
-    start = ok[0] if k == 1 else -1     # -1: every line
-    if forced is None:
-        tails = tail_masks(range(nlines))
-        yield from extend((), 0, (), start, -1)
-        return
-    lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
-    inside = set(lines_in)
-    tails = tail_masks([t for t in range(nlines) if t not in inside])
-    for base in combinations(lines_in, k):
-        mask, points, compat = 0, (), start
-        for i, t in enumerate(base):
-            if mask >> t & 1:
-                break
-            mask, points = span_with(mask, points, t)
-            compat = narrow(compat, base[:i], t)
-        else:
-            yield from extend(base, mask, points, compat, -1)
 
 
 def _first_system(plane_set, ok, forced=None):

@@ -7,15 +7,15 @@ classifier, and the regular-transformation classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import and_
 
 from .forms import standard_symplectic, form_map
 from .grassmann import GrassmannMap
-from .linalg import EchelonBasis, Mat
+from .linalg import Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import _coordinate_system_indices, maximal_regular_family
+from .regularity import _independent, _systems_within, maximal_regular_family
 
 
 class NotIndependencePreservingError(ValueError):
@@ -263,15 +263,8 @@ def regular_violation(space, f):
     k, n = f.domain.k, space.n
     t, inv = f.table, f.inverse().table
     if k == f.codomain.k == 1:
-        rows = [l.rows[0] for l in space.grassmannian(1)]
-
-        def members(system):
-            return system
-
-        def regular(lines):
-            eb = EchelonBasis(space.field)
-            return all(eb.add(rows[i]) for i in lines)
-
+        # a system's lines are its maximal regular set
+        members, regular = tuple, partial(_independent, space)
     elif k == f.codomain.k == n - 1:
         masks = space.point_masks(k)
 
@@ -290,7 +283,7 @@ def regular_violation(space, f):
             if frozenset(inv[i] for i in mr) not in fam_set:
                 return mr
         return None
-    for system in _coordinate_system_indices(space):
+    for system in _systems_within(space, 1, [-1]):
         mr = members(system)
         if not (regular(t[i] for i in mr) and regular(inv[i] for i in mr)):
             return frozenset(mr)

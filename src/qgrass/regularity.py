@@ -27,6 +27,17 @@ def exactness_threshold(n, k):
     return comb(n - 1, k) + comb(n - 2, k - 2)
 
 
+def _independent(space, lines):
+    """Whether the lines, given by G_1 index, are independent: each lies
+    outside the span of those before it (`Space.span_with`)."""
+    mask, points = 0, ()
+    for t in lines:
+        if mask >> t & 1:
+            return False
+        mask, points = space.span_with(mask, points, t)
+    return True
+
+
 class CoordinateSystem:
     """An unordered set of n independent lines of F^n, held as the ascending
     tuple of their G_1 indices (G_1 is in `Subspace.key` order)."""
@@ -37,12 +48,10 @@ class CoordinateSystem:
         lines = tuple(sorted(lines, key=Subspace.key))
         if len(lines) != space.n or any(l.k != 1 for l in lines):
             raise ValueError(f"a coordinate system needs {space.n} lines")
-        eb = EchelonBasis(space.field)
-        if not all(eb.add(l.rows[0]) for l in lines):
+        self.line_indices = tuple(space.grassmannian(1).index(l) for l in lines)
+        if not _independent(space, self.line_indices):
             raise ValueError("coordinate lines must be independent")
         self.space = space
-        g1 = space.grassmannian(1)
-        self.line_indices = tuple(g1.index(l) for l in lines)
 
     @classmethod
     def from_line_indices(cls, space, indices):
@@ -283,25 +292,85 @@ def hypergraph_view(plane_set, system):
     return out
 
 
-def _coordinate_system_indices(space):
-    """Yield the ascending line-index tuple of every coordinate system, in
-    canonical order, without materialising the list.  The span of the chosen
-    lines is a point bitmask (`Space.span_with`)."""
+def _systems_within(space, k, ok, forced=None):
+    """Line-index tuples of the coordinate systems all of whose coordinate
+    k-planes lie in the set with join masks `ok` (`irregularity._join_masks`),
+    with `forced` additionally required to be a coordinate plane, its own
+    join exempt from the membership test; an iterator, in canonical order.
+    At k = 1 with `ok = [-1]` every line is allowed: the walk over all systems.
+
+    The span of the chosen lines is a point bitmask (`Space.span_with`);
+    beside it, `compat` masks the lines that join every (k-1)-subset of the
+    chosen lines to a plane of the set, and accepting t ANDs in the entry of
+    each (k-1)-plane that t spans with k-2 chosen lines.  The candidates at a
+    node are the bits of `compat & ~span` above the last chosen line, leaving
+    out those with fewer candidates after them than free slots.  The node
+    that picks the last but one line yields the systems itself: each
+    candidate for the last slot completes one, with no span or narrowing.
+    """
     nlines = len(space.grassmannian(1))
     n = space.n
+    join_idx = space.line_join_index
     span_with = space.span_with
 
-    def rec(start, chosen, mask, points):
-        slots = n - len(chosen)
-        for t in range(start, nlines - slots + 1):
-            if mask >> t & 1:
-                continue
-            if slots == 1:
-                yield chosen + (t,)
-            else:
-                yield from rec(t + 1, chosen + (t,), *span_with(mask, points, t))
+    def narrow(compat, chosen, t):
+        # t spans no (k-1)-plane with chosen lines at k = 1, and t itself at k = 2
+        if k <= 2:
+            return compat & ok[t] if k == 2 else compat
+        for sub in combinations(chosen, k - 2):
+            compat &= ok[join_idx(sub + (t,), k - 1)]
+        return compat
 
-    return rec(0, (), 0, ())
+    def extend(chosen, mask, points, compat, above):
+        slots = n - len(chosen)
+        cand = compat & ~mask & above & tails[slots]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            if slots > 2:
+                yield from extend(
+                    chosen + (t,), *span_with(mask, points, t), narrow(compat, chosen, t), -(low << 1)
+                )
+                continue
+            # the systems are yielded here: each bit of `last` completes one
+            if slots == 2:
+                last = narrow(compat, chosen, t) & ~span_with(mask, points, t)[0] & -(low << 1) & tails[1]
+                head = chosen + (t,)
+            else:
+                last, head = low, chosen
+            while last:
+                bit = last & -last
+                last ^= bit
+                yield head + (bit.bit_length() - 1,)
+
+    def tail_masks(cands):
+        # by free slots: the lines up to the last candidate that leaves enough candidates after it
+        return [0] + [(2 << cands[-slots]) - 1 if slots <= len(cands) else 0 for slots in range(1, n + 1)]
+
+    def through_forced():
+        for base in combinations(lines_in, k):
+            mask, points, compat = 0, (), start
+            for i, t in enumerate(base):
+                if mask >> t & 1:
+                    break
+                mask, points = span_with(mask, points, t)
+                compat = narrow(compat, base[:i], t)
+            else:
+                if k == n:      # the forced plane is the whole space: the base is a system
+                    yield base
+                for system in extend(base, mask, points, compat, -1):
+                    yield tuple(sorted(system))
+
+    start = ok[0] if k == 1 else -1     # -1: every line
+    if forced is None:
+        tails = tail_masks(range(nlines))
+        # returned, not delegated to: one generator level less on every yield
+        return extend((), 0, (), start, -1)
+    lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
+    inside = set(lines_in)
+    tails = tail_masks([t for t in range(nlines) if t not in inside])
+    return through_forced()
 
 
 def all_coordinate_systems(space):
@@ -309,7 +378,7 @@ def all_coordinate_systems(space):
     if space._systems is None:
         space._systems = [
             CoordinateSystem.from_line_indices(space, idxs)
-            for idxs in _coordinate_system_indices(space)
+            for idxs in _systems_within(space, 1, [-1])
         ]
     return space._systems
 

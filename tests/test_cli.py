@@ -272,6 +272,13 @@ def identity_table(q, n, k, planes):
                      {"f": "planeset 2 4 4 1\n\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"}, 2,
                      id="irregular-at-k-equal-n"),
         pytest.param(["analyze", "--in", "{f}"], {"f": "planeset 16 6 3 0\n"}, 2, id="planeset-huge"),
+        # small sets in large spaces have too many associated systems to analyze
+        pytest.param(["analyze", "--in", "{f}", "--mode", "regular"],
+                     {"f": "planeset 2 6 1 1\n\n1 0 0 0 0 0\n"}, 2, id="regular-of-a-line-2-6"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "degree"],
+                     {"f": "planeset 2 6 2 1\n\n1 0 0 0 0 0\n0 1 0 0 0 0\n"}, 2, id="degree-of-a-plane-2-6"),
+        pytest.param(["analyze", "--in", "{f}", "--mode", "regular"],
+                     {"f": "planeset 3 5 2 1\n\n1 0 0 0 0\n0 1 0 0 0\n"}, 2, id="regular-of-a-plane-3-5"),
         pytest.param(["classify", "--in", "{f}"], {"f": "maptable 16 6 3 3\n"}, 2, id="maptable-huge"),
         pytest.param(["classify", "--in", "{f}"], {"f": identity_table(3, 5, 2, 1210)}, 0,
                      id="classify-inside-envelope"),

@@ -72,7 +72,7 @@ from qgrass import irregularity, regularity
 from qgrass.regularity import (
     CoordinateSystem,
     NotRegularError,
-    _coordinate_system_indices,
+    _systems_within,
     associated_systems,
     degree,
     is_exact,
@@ -177,6 +177,11 @@ def echelon_system_indices(space):
                 yield from rec(t + 1, chosen + (t,), nb)
 
     return rec(0, (), EchelonBasis(space.field))
+
+
+def every_system(space):
+    """The engine's unconstrained walk: k = 1 with every line allowed."""
+    return _systems_within(space, 1, [-1])
 
 
 def echelon_complete(plane_set):
@@ -507,10 +512,14 @@ def sampled_tables(space, k, count, rng):
     return out
 
 
-# exhaustive where the group is small, seeded samples of GL(4, 2) otherwise
+# exhaustive where the group is small, seeded semilinear samples otherwise;
+# the (3,4,1) and (4,3,1) line spaces are those of `transform-classify`
 @pytest.mark.parametrize(
     "q,n,k,sample",
-    [(2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None), (2, 4, 1, 300), (2, 4, 2, 300), (2, 4, 3, 300)],
+    [
+        (2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None), (2, 4, 1, 300), (2, 4, 2, 300), (2, 4, 3, 300),
+        (3, 4, 1, 30), (4, 3, 1, 300),
+    ],
 )
 def test_certify_first_classifier_matches_scan_first(q, n, k, sample):
     space = Space.get(q, n)
@@ -725,7 +734,7 @@ def test_maximality_and_completion_build_join_masks_once(monkeypatch):
 )
 def test_system_walk_matches_echelon_walk(q, n, count):
     space = Space.get(q, n)
-    got = list(_coordinate_system_indices(space))
+    got = list(every_system(space))
     assert len(got) == count
     assert got == list(echelon_system_indices(space))
 
@@ -775,7 +784,7 @@ def test_lookup_induces_matches_join_meet(q, n, count):
 def test_system_from_search_matches_validating_constructor(q, n):
     space = Space.get(q, n)
     g1 = space.grassmannian(1)
-    for idxs in _coordinate_system_indices(space):
+    for idxs in every_system(space):
         fast = CoordinateSystem.from_line_indices(space, idxs)
         checked = CoordinateSystem(space, [g1[i] for i in reversed(idxs)])
         assert fast == checked

@@ -10,7 +10,9 @@ classifier on a linear and on a form-composed (2,4,2) table and on linear
 distance tables were still built by row reduction (15 s per call).  The
 inputs are files rather than tables rebuilt by `induced_map`, so an error
 shared by the code that builds tables and the code that classifies them
-still shows.
+still shows.  Three (2,4,2) plane sets are analyzed in regular, irregular
+and degree mode; the degree outputs were recorded before `analyze` moved to
+one covering search per call.
 
 To re-record a case after an intended output change, run the same command
 from `tests/golden/` and overwrite its `.stdout` file.
@@ -35,7 +37,7 @@ CASES = {
     "classify-corrupted-2-4-2": ["classify", "--in", "corrupted-2-4-2.maptable"],
 }
 for name in ("regular", "meeting", "superset"):
-    for mode in ("regular", "irregular"):
+    for mode in ("regular", "irregular", "degree"):
         CASES[f"analyze-{name}-2-4-2-{mode}"] = [
             "analyze", "--in", f"{name}-2-4-2.planeset", "--mode", mode,
         ]
