@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, itemgetter
 
 from .forms import standard_symplectic, form_map
 from .grassmann import GrassmannMap
@@ -136,37 +136,37 @@ def ftpg_reconstruct(space, f):
 
 
 def distance_violation(space, f):
-    """A pair of plane indices whose distance changes under f, or None."""
-    k = f.domain.k
-    d = space.distance_matrix(k)
+    """A pair (i, j), i < j, of plane indices whose distance changes under f,
+    or None.
+
+    Image distances are read on the codomain, so a form map G_k -> G_{n-k}
+    is tested too.  Each plane's row of distances is compared in one step
+    with the image row read in the order of f; both matrices are symmetric,
+    so in the first row i that differs every change lies at some j > i.
+    """
+    d = space.distance_matrix(f.domain.k)
+    d_image = space.distance_matrix(f.codomain.k)
     t = f.table
-    full = None
-    for i in range(len(t)):
-        di, dfi = d[i], d[t[i]]
-        for j in range(i + 1, len(t)):
-            if di[j] != dfi[t[j]]:
-                full = (i, j)
-                break
-        if full:
+    if len(t) < 2:
+        return None
+    image_order = itemgetter(*t)
+    for i, row in enumerate(d):
+        image_row = image_order(d_image[t[i]])
+        if image_row != tuple(row):
             break
+    else:
+        return None
     # Lemma: two-way adjacency preservation is equivalent to full distance
-    # preservation; check agreement as an internal consistency guard.
-    inv = [0] * len(t)
-    for i, j in enumerate(t):
-        inv[j] = i
-    adj = True
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            if (d[i][j] == 1) != (d[t[i]][t[j]] == 1) or (d[i][j] == 1) != (
-                d[inv[i]][inv[j]] == 1
-            ):
-                adj = False
-                break
-        if not adj:
-            break
-    if adj != (full is None):
+    # preservation, so some adjacency changes too; checked as an internal
+    # consistency guard (a table that keeps every distance keeps every
+    # adjacency, and f is a bijection, so one direction suffices).
+    adjacent = (1).__eq__
+    if all(
+        list(map(adjacent, image_order(d_image[t[r]]))) == list(map(adjacent, d[r]))
+        for r in range(len(t))
+    ):
         raise RuntimeError("adjacency and distance preservation disagree")
-    return full
+    return i, next(j for j in range(i + 1, len(t)) if row[j] != image_row[j])
 
 
 def is_distance_preserving(space, f):
@@ -200,8 +200,8 @@ def _star_image_map(space, f, j):
     return ("top", None) if kind == "top" else ("star", GrassmannMap(gj1, gj1, table))
 
 
-def chow_classify(space, f):
-    """Classify a distance-preserving transformation of G_k, 1 < k < n-1.
+def _chow_reconstruct(space, f):
+    """Reconstruct a transformation of G_k, 1 < k < n-1, from its star images.
 
     The star images determine whether the transformation already descends
     (case: stars map to stars).  Otherwise n = 2k and composing with the
@@ -211,12 +211,6 @@ def chow_classify(space, f):
     """
     k = f.domain.k
     n = space.n
-    if not 1 < k < n - 1:
-        raise ValueError("adjacency-based classification needs 1 < k < n-1")
-    witness = distance_violation(space, f)
-    if witness is not None:
-        raise NotDistancePreservingError(witness)
-
     work = f
     form = None
     post = None
@@ -248,6 +242,23 @@ def chow_classify(space, f):
         return ClassificationResult("not_classifiable", witness=(f.domain[bad],))
     kind_out = "linear" if form is None else "form_composed"
     return ClassificationResult(kind_out, map=h, form=form, verified=True)
+
+
+def chow_classify(space, f):
+    """Classify a distance-preserving transformation of G_k, 1 < k < n-1.
+
+    The table is reconstructed first (`_chow_reconstruct`: star-image
+    descent, reconstruction on the line Grassmannian, table check).  A
+    verified reconstruction needs no distance scan: the table is induced by
+    a semilinear map, alone or followed by a form map, and both preserve
+    distance.  Only when the reconstruction fails are the distances
+    compared, to name a pair whose distance changes; without one the
+    reconstruction's own outcome stands.
+    """
+    k = f.domain.k
+    if not 1 < k < space.n - 1:
+        raise ValueError("adjacency-based classification needs 1 < k < n-1")
+    return _certify_first(space, f, _chow_reconstruct, distance_violation, NotDistancePreservingError)
 
 
 def regular_violation(space, f):
@@ -314,14 +325,29 @@ def _reconstruct(space, f):
     raise ValueError("classification needs 1 <= k <= n-1")
 
 
-def _try_reconstruct(space, f):
-    """(result, failure) of `_reconstruct`.  Every error a reconstruction can
-    raise is held back, because on an irregular table the scan's witness
-    takes precedence over it."""
+def _try_reconstruct(space, f, reconstruct=_reconstruct):
+    """(result, failure) of `reconstruct`.  Every error a reconstruction can
+    raise is held back, because on a table that fails the scan the scan's
+    witness takes precedence over it."""
     try:
-        return _reconstruct(space, f), None
+        return reconstruct(space, f), None
     except (ValueError, RuntimeError) as exc:
         return None, exc
+
+
+def _certify_first(space, f, reconstruct, violation, error):
+    """The verified result of `reconstruct`, or else `error` raised on the
+    witness of the `violation` scan, or else the reconstruction's own
+    outcome: its result, or the error it raised."""
+    result, failure = _try_reconstruct(space, f, reconstruct)
+    if result is not None and result.verified:
+        return result
+    witness = violation(space, f)
+    if witness is not None:
+        raise error(witness)
+    if failure is not None:
+        raise failure
+    return result
 
 
 def is_regular_transformation(space, f):
@@ -338,15 +364,8 @@ def regular_classify(space, f):
     reconstruction fails is the maximal regular family scanned, to name a
     witness; without one the reconstruction's own outcome stands.
     """
-    result, failure = _try_reconstruct(space, f)
-    if result is not None and result.verified:
-        return result
-    witness = regular_violation(space, f)
-    if witness is not None:
-        raise NotRegularTransformationError(witness)
-    if isinstance(failure, NotDistancePreservingError):
+    try:
+        return _certify_first(space, f, _reconstruct, regular_violation, NotRegularTransformationError)
+    except NotDistancePreservingError:
         # a regular table that moves distances contradicts the theory
-        failure = RuntimeError("regular transformation fails distance preservation")
-    if failure is not None:
-        raise failure
-    return result
+        raise RuntimeError("regular transformation fails distance preservation") from None

@@ -1,8 +1,9 @@
 """Differential tests of the fast paths.
 
-The certify-first classifier, the lazy walk over line coordinate systems and
-the row-reduction-free similarity search are compared with the scan-first and
-per-matrix implementations they replaced; the coordinate-system searches that
+The certify-first classifiers, the row-by-row distance scan, the lazy walk
+over line coordinate systems and the row-reduction-free similarity search are
+compared with the scan-first, pair-by-pair and per-matrix implementations
+they replaced; the coordinate-system searches that
 carry spans as point bitmasks and test candidates by join masks are compared
 with the echelon-basis, join-per-candidate searches they replaced, and the
 characteristics read off masks with the join/meet version; induced tables
@@ -60,8 +61,11 @@ from qgrass.linalg import EchelonBasis, Mat
 from qgrass.maps import SemilinearMap, induced_map, induces
 from qgrass.reconstruction import (
     ClassificationResult,
+    NotDistancePreservingError,
     NotRegularTransformationError,
+    _chow_reconstruct,
     chow_classify,
+    distance_violation,
     ftpg_reconstruct,
     is_distance_preserving,
     is_regular_transformation,
@@ -117,6 +121,48 @@ def scan_first_classify(space, f):
             return ClassificationResult("not_classifiable", witness=("conjugation mismatch",))
         return ClassificationResult("linear", map=h, verified=True)
     raise ValueError("classification needs 1 <= k <= n-1")
+
+
+def pair_distance_violation(space, f):
+    """The loop over every pair of planes, with the two-way adjacency guard
+    run on every call."""
+    k = f.domain.k
+    d = space.distance_matrix(k)
+    t = f.table
+    full = None
+    for i in range(len(t)):
+        di, dfi = d[i], d[t[i]]
+        for j in range(i + 1, len(t)):
+            if di[j] != dfi[t[j]]:
+                full = (i, j)
+                break
+        if full:
+            break
+    inv = [0] * len(t)
+    for i, j in enumerate(t):
+        inv[j] = i
+    adj = True
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            if (d[i][j] == 1) != (d[t[i]][t[j]] == 1) or (d[i][j] == 1) != (
+                d[inv[i]][inv[j]] == 1
+            ):
+                adj = False
+                break
+        if not adj:
+            break
+    if adj != (full is None):
+        raise RuntimeError("adjacency and distance preservation disagree")
+    return full
+
+
+def distance_first_classify(space, f):
+    """The middle-dimension classifier that scanned every pair of planes
+    before it reconstructed."""
+    witness = pair_distance_violation(space, f)
+    if witness is not None:
+        raise NotDistancePreservingError(witness)
+    return _chow_reconstruct(space, f)
 
 
 def echelon_systems_within(space, k, allowed, forced=None):
@@ -492,10 +538,13 @@ def linear_tables(space, k):
     )
 
 
-def transposed(table, rng):
-    a, b = rng.sample(range(len(table)), 2)
+def transposed(table, rng, length=2):
+    """The table with the images of `length` seeded planes cycled: one
+    transposition by default."""
+    places = rng.sample(range(len(table)), length)
     out = list(table)
-    out[a], out[b] = out[b], out[a]
+    for a, b in zip(places, places[1:] + places[:1]):
+        out[a] = table[b]
     return out
 
 
@@ -540,6 +589,45 @@ def test_certify_first_classifier_matches_scan_first(q, n, k, sample):
     # every induced table is classified, every corruption rejected with a witness
     assert kinds.get("linear", 0) + kinds.get("form_composed", 0) == len(tables)
     assert kinds[NotRegularTransformationError] == len(tables)
+
+
+def compare_chow_classifiers(space, f):
+    """The certify-first and distance-first outcomes, which must agree, and
+    the row and pair scans, which must name the same witness."""
+    got = outcome(chow_classify, space, f)
+    assert got == outcome(distance_first_classify, space, f)
+    assert got[:2] != (RuntimeError, "adjacency and distance preservation disagree")
+    assert distance_violation(space, f) == pair_distance_violation(space, f)
+    return got
+
+
+def test_certify_first_chow_matches_distance_first_on_every_transposition():
+    space = Space.get(2, 4)
+    g2 = space.grassmannian(2)
+    # three induced tables and three composed with a form map
+    tables = sampled_tables(space, 2, 6, random.Random("chow:2:4:2"))
+    for table in tables:
+        assert compare_chow_classifiers(space, GrassmannMap(g2, g2, table))[3] is True
+        for a, b in combinations(range(len(table)), 2):
+            t = list(table)
+            t[a], t[b] = t[b], t[a]
+            got = compare_chow_classifiers(space, GrassmannMap(g2, g2, t))
+            assert got[0] is NotDistancePreservingError
+
+
+# two base tables per space (the second composed with a form map at n = 2k),
+# each with seeded transpositions and 3-cycles
+@pytest.mark.parametrize("q,n,k,corruptions", [(2, 5, 2, 40), (3, 4, 2, 40), (2, 5, 3, 40), (2, 6, 3, 8)])
+def test_certify_first_chow_matches_distance_first_on_seeded_corruptions(q, n, k, corruptions):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"chow:{q}:{n}:{k}")
+    for table in sampled_tables(space, k, 2, rng):
+        assert compare_chow_classifiers(space, GrassmannMap(gk, gk, table))[3] is True
+        for length in (2, 3):
+            for _ in range(corruptions):
+                got = compare_chow_classifiers(space, GrassmannMap(gk, gk, transposed(table, rng, length)))
+                assert got[0] is NotDistancePreservingError
 
 
 def walk_regular_count(k):

@@ -7,12 +7,14 @@ from qgrass.forms import dot_form, form_map, standard_symplectic
 from qgrass.grassmann import GrassmannMap, Space
 from qgrass.harness import random_semilinear
 from qgrass.maps import SemilinearMap, induced_map, induces
+from qgrass import reconstruction
 from qgrass.reconstruction import (
     AutomorphismMismatchError,
     NotDistancePreservingError,
     NotIndependencePreservingError,
     NotRegularTransformationError,
     chow_classify,
+    distance_violation,
     ftpg_reconstruct,
     is_distance_preserving,
     is_independence_preserving,
@@ -98,6 +100,34 @@ def test_distance_preserving_examples():
     table[i], table[j] = table[j], table[i]
     g2 = space.grassmannian(2)
     assert not is_distance_preserving(space, GrassmannMap(g2, g2, table))
+    # a one-plane Grassmannian has no pair to change
+    for k in (0, 4):
+        assert is_distance_preserving(space, GrassmannMap.identity(space.grassmannian(k)))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4)])
+def test_form_maps_preserve_distance(q, n):
+    # a correlation G_k -> G_{n-k} keeps distances; the image distances are
+    # those of G_{n-k}
+    space = Space.get(q, n)
+    forms = [dot_form(space.field, n)]
+    if n % 2 == 0:
+        forms.append(standard_symplectic(space.field, n))
+    for form in forms:
+        for k in range(1, n):
+            f = form_map(space, form, k)
+            assert distance_violation(space, f) is None
+            assert distance_violation(space, f.inverse()) is None
+            if not 1 < k < n - 1:
+                continue  # every two points (hyperplanes) are adjacent
+            # one transposition breaks it, with a pair whose distance changes
+            table = list(f.table)
+            last = len(table) - 1
+            table[0], table[last] = table[last], table[0]
+            swapped = GrassmannMap(f.domain, f.codomain, table)
+            i, j = distance_violation(space, swapped)
+            assert i < j
+            assert space.distance_matrix(k)[i][j] != space.distance_matrix(n - k)[table[i]][table[j]]
 
 
 def test_chow_classify_linear():
@@ -140,6 +170,38 @@ def test_chow_rejects_non_distance_preserving():
     g2 = space.grassmannian(2)
     with pytest.raises(NotDistancePreservingError):
         chow_classify(space, GrassmannMap(g2, g2, table))
+
+
+def test_verified_classification_skips_the_distance_scan(monkeypatch):
+    # certify-first: a verified reconstruction is not followed by a scan
+    calls = []
+    scan = reconstruction.distance_violation
+
+    def counted(space, f):
+        calls.append(f)
+        return scan(space, f)
+
+    monkeypatch.setattr(reconstruction, "distance_violation", counted)
+    rng = random.Random(99)
+    for q, n in ((2, 4), (2, 5)):
+        space = Space.get(q, n)
+        tables = [induced_map(space, random_semilinear(space, rng), 2) for _ in range(3)]
+        if n == 4:
+            fm = form_map(space, standard_symplectic(space.field, n), 2)
+            tables += [fm.compose(f) for f in tables]
+        for f in tables:
+            res = chow_classify(space, f)
+            assert res.verified and res.kind == ("linear" if f in tables[:3] else "form_composed")
+            assert regular_classify(space, f).verified
+        assert calls == []
+        # a corrupted table is scanned exactly once, to name its witness
+        table = list(tables[0].table)
+        table[0], table[-1] = table[-1], table[0]
+        corrupted = GrassmannMap(tables[0].domain, tables[0].codomain, table)
+        with pytest.raises(NotDistancePreservingError):
+            chow_classify(space, corrupted)
+        assert calls == [corrupted]
+        calls.clear()
 
 
 def test_regular_transformation_examples():
