@@ -9,13 +9,15 @@ their Grassmannians are cached so incidence tables are shared.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .gf import field as get_field
 from .linalg import EchelonBasis, Mat, _rref_rows
 
 MAX_AMBIENT_DIM = 6
 MAX_GRASSMANNIAN = 100_000   # planes; G_2(F_4^6), 93,093 planes, is the largest below it
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")   # binary digits to selector bytes
 
 
 class TooLargeError(ValueError):
@@ -361,15 +363,18 @@ class Space:
         indices.  The new points are t and, for each point u already in the
         span, the q - 1 other points of the projective line tu; these sets
         are disjoint, so no dedupe is needed.  The third points of each
-        (u, t) are computed once per space, when first asked for.
+        (u, t) are computed once per space, when first asked for, and kept in
+        one list per t indexed by u.
         """
-        thirds = self._thirds
+        row = self._thirds.get(t)
+        if row is None:
+            row = self._thirds[t] = [None] * len(self.grassmannian(1))
         bits = 1 << t
         new = [t]
         for u in points:
-            hit = thirds.get((u, t))
+            hit = row[u]
             if hit is None:
-                hit = thirds[(u, t)] = self._third_points(u, t)
+                hit = row[u] = self._third_points(u, t)
             bits |= hit[0]
             new += hit[1]
         return mask | bits, points + tuple(new)
@@ -409,20 +414,38 @@ class Space:
 
 
 class PlaneSet:
-    """A sorted, duplicate-free set of members of one Grassmannian."""
+    """A sorted, duplicate-free set of members of one Grassmannian, held both
+    as the ascending tuple of their indices and as a bitmask with bit i set
+    for each member i; set operations are integer operations on the masks."""
 
-    __slots__ = ("gr", "indices", "iset")
+    __slots__ = ("gr", "indices", "mask")
 
     def __init__(self, gr, indices):
-        self.gr = gr
-        self.iset = frozenset(indices)
-        self.indices = tuple(sorted(self.iset))
-        if self.indices and not (0 <= self.indices[0] and self.indices[-1] < len(gr)):
+        indices = tuple(sorted(set(indices)))
+        # checked before any shift: a negative count raises, a large one widens the mask
+        if indices and not (0 <= indices[0] and indices[-1] < len(gr)):
             raise ValueError("plane index out of range")
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        self.gr, self.indices, self.mask = gr, indices, mask
+
+    @classmethod
+    def _from_mask(cls, gr, mask):
+        """The set whose members are the set bits of a mask below 1 << len(gr)."""
+        ps = cls.__new__(cls)
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)
+        ps.gr, ps.indices, ps.mask = gr, tuple(compress(range(len(bits)), bits)), mask
+        return ps
 
     @classmethod
     def from_subspaces(cls, gr, subspaces):
         return cls(gr, (gr.index(s) for s in subspaces))
+
+    @property
+    def iset(self):
+        """The members as a frozenset, built on each call."""
+        return frozenset(self.indices)
 
     def members(self):
         g = self.gr
@@ -430,28 +453,28 @@ class PlaneSet:
 
     def union(self, other):
         self._check(other)
-        return PlaneSet(self.gr, self.iset | other.iset)
+        return self._from_mask(self.gr, self.mask | other.mask)
 
     def intersection(self, other):
         self._check(other)
-        return PlaneSet(self.gr, self.iset & other.iset)
+        return self._from_mask(self.gr, self.mask & other.mask)
 
     def difference(self, other):
         self._check(other)
-        return PlaneSet(self.gr, self.iset - other.iset)
+        return self._from_mask(self.gr, self.mask & ~other.mask)
 
     def issubset(self, other):
         self._check(other)
-        return self.iset <= other.iset
+        return self.mask & ~other.mask == 0
 
     def with_index(self, i):
-        return PlaneSet(self.gr, self.iset | {i})
+        return self.union(PlaneSet(self.gr, (i,)))
 
     def without_index(self, i):
-        return PlaneSet(self.gr, self.iset - {i})
+        return self._from_mask(self.gr, self.mask & ~(1 << i)) if i in self else self
 
     def complement(self):
-        return PlaneSet(self.gr, set(range(len(self.gr))) - self.iset)
+        return self._from_mask(self.gr, ((1 << len(self.gr)) - 1) & ~self.mask)
 
     def _check(self, other):
         if other.gr is not self.gr and (
@@ -462,7 +485,8 @@ class PlaneSet:
             raise ValueError("plane sets on different Grassmannians")
 
     def __contains__(self, i):
-        return i in self.iset
+        # mask >> i raises for i < 0; anything but an int is no member
+        return isinstance(i, int) and i >= 0 and self.mask >> i & 1 == 1
 
     def __len__(self):
         return len(self.indices)
@@ -476,11 +500,11 @@ class PlaneSet:
             and self.gr.field.q == other.gr.field.q
             and self.gr.n == other.gr.n
             and self.gr.k == other.gr.k
-            and self.iset == other.iset
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.gr.field.q, self.gr.n, self.gr.k, self.iset))
+        return hash((self.gr.field.q, self.gr.n, self.gr.k, self.mask))
 
     def __repr__(self):
         return f"PlaneSet({self.gr!r}, {len(self.indices)} members)"

@@ -500,13 +500,13 @@ def _meeting_status_item(args):
     q, n, k, m, idx = args
     space = _space(q, n)
     s = space.grassmannian(m)[idx]
-    full = frozenset(range(len(space.grassmannian(k))))
+    full = len(space.grassmannian(k))
     x = planes_meeting(space, s, k)
     y = planes_cohyperplanar(space, s, k)
     fails = []
-    if m > n - k and x.iset != full:
+    if m > n - k and len(x) != full:
         fails.append("meeting set must cover everything")
-    if m < n - k and y.iset != full:
+    if m < n - k and len(y) != full:
         fails.append("cohyperplanar set must cover everything")
     if m <= n - k and not is_irregular(x):
         fails.append("meeting set must be irregular")

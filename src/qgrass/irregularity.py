@@ -43,7 +43,7 @@ def _join_masks(plane_set):
     masks = space.point_masks(k)
     faces = space.incidence(k - 1, k)
     ok = [0] * len(space.grassmannian(k - 1))
-    for p in plane_set.iset:
+    for p in plane_set.indices:
         for w in faces[p]:
             ok[w] |= masks[p]
     return ok
@@ -59,8 +59,7 @@ def _first_system(plane_set, ok, forced=None):
 def _outside_planes_complete(plane_set, ok):
     """Every plane outside the set completes some inside subset to a
     maximal regular set."""
-    outside = (l for l in range(len(plane_set.gr)) if l not in plane_set.iset)
-    return all(_first_system(plane_set, ok, l) is not None for l in outside)
+    return all(_first_system(plane_set, ok, l) is not None for l in plane_set.complement())
 
 
 def contains_maximal_regular(plane_set):
@@ -101,12 +100,12 @@ def complete_to_maximal_irregular(plane_set):
     masks = gr.space.point_masks(gr.k)
     faces = gr.space.incidence(gr.k - 1, gr.k)
     added = []
-    for l in range(len(gr)):
-        if l not in plane_set.iset and _first_system(plane_set, ok, l) is None:
+    for l in plane_set.complement():
+        if _first_system(plane_set, ok, l) is None:
             added.append(l)
             for w in faces[l]:
                 ok[w] |= masks[l]
-    return PlaneSet(gr, plane_set.iset.union(added)) if added else plane_set
+    return plane_set.union(PlaneSet(gr, added)) if added else plane_set
 
 
 def _point_mask(space, s):

@@ -99,12 +99,16 @@ def _covering_system_indices(space, plane_set, limit=None):
     given planes, in ascending (canonical) order.
 
     A selection is pruned as soon as some plane cannot reach k chosen lines
-    inside it with the candidates that remain.
+    inside it with the candidates that remain.  A set of more than C(n, k)
+    planes, the number of coordinate k-planes of one system, is covered by
+    none, and no search is run.
     """
     n = space.n
+    k = plane_set.gr.k
+    if len(plane_set) > comb(n, k):
+        return
     g1 = space.grassmannian(1)
     nlines = len(g1)
-    k = plane_set.gr.k
     if k == 1:
         lines_in = [(i,) for i in range(nlines)]
     else:
@@ -208,14 +212,14 @@ def _degree(plane_set, systems):
         raise NotRegularError("degree is defined for regular sets")
     if len(systems) == 1:
         return 0, plane_set
-    k = plane_set.gr.k
+    k, members = plane_set.gr.k, plane_set.mask
     held_by = {}
     extras = []
     for pos, sys_ in enumerate(systems):
         planes = sys_.coordinate_planes(k).indices
         for i in planes:
             held_by[i] = held_by.get(i, 0) | 1 << pos
-        extras.append(tuple(i for i in planes if i not in plane_set.iset))
+        extras.append(tuple(i for i in planes if not members >> i & 1))
     everyone = (1 << len(systems)) - 1
     for d in range(1, max(len(e) for e in extras) + 1):
         for pos, extra in enumerate(extras):
@@ -224,7 +228,7 @@ def _degree(plane_set, systems):
                 for i in add:
                     common &= held_by[i]
                 if common == 1 << pos:
-                    return d, PlaneSet(plane_set.gr, plane_set.iset | set(add))
+                    return d, PlaneSet(plane_set.gr, plane_set.indices + add)
     raise RuntimeError("no exact superset found; maximal sets should be exact")
 
 

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import qgrass
 from qgrass.cli import (
     ParseError,
     main,
@@ -306,5 +308,9 @@ def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, 
 def test_cli_import_leaves_harness_unloaded():
     # analyze and classify need no harness; only verify and checks load it
     code = "import sys, qgrass.cli; print('qgrass.harness' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports qgrass from where this process found it, also when
+    # pytest put src on sys.path through its own configuration only
+    src = os.path.dirname(os.path.dirname(qgrass.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "False\n"

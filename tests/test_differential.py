@@ -14,15 +14,19 @@ reductions, per-pair `distance` and spans; and the one-way `induces` is
 compared with the version that also checked preimages and bijectivity; the
 degree of inexactness decided from one covering search is compared with one
 `is_exact` search per candidate superset; and the point rows of
-`incidence(1, k)` built by spans are compared with vector enumeration.  The
-replaced implementations are kept here as reference oracles.
+`incidence(1, k)` built by spans are compared with vector enumeration; the
+`PlaneSet` operations on bitmasks are compared with the same operations on
+frozensets, and the covering search behind its C(n, k) size guard with the
+unguarded search.  The replaced implementations are kept here as reference
+oracles.
 """
 
 import functools
 import importlib.util
 import random
+from bisect import bisect_left
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,7 @@ from qgrass import irregularity, regularity
 from qgrass.regularity import (
     CoordinateSystem,
     NotRegularError,
+    _covering_system_indices,
     _systems_within,
     associated_systems,
     degree,
@@ -509,6 +514,58 @@ def vector_line_incidence(space, k):
 
 # ---------------------------------------------------------------------------
 # comparisons
+
+
+def unguarded_covering_system_indices(space, plane_set):
+    """The covering search on echelon bases without the C(n, k) size guard:
+    one basis copy and reduction per candidate line."""
+    n = space.n
+    g1 = space.grassmannian(1)
+    nlines = len(g1)
+    k = plane_set.gr.k
+    lines_in = [(i,) for i in range(nlines)] if k == 1 else space.incidence(1, k)
+    targets = [lines_in[p] for p in plane_set.indices]
+    line_planes = [[] for _ in range(nlines)]
+    for pi, lines in enumerate(targets):
+        for t in lines:
+            line_planes[t].append(pi)
+    counts = [0] * len(targets)
+
+    def feasible(next_start, slots):
+        for pi, lines in enumerate(targets):
+            need = k - counts[pi]
+            if need > 0 and (need > slots or need > len(lines) - bisect_left(lines, next_start)):
+                return False
+        return True
+
+    def rec(start, chosen, basis):
+        if len(chosen) == n:
+            if all(c == k for c in counts):
+                yield chosen
+            return
+        slots = n - len(chosen)
+        for t in range(start, nlines - slots + 1):
+            nb = basis.copy()
+            if not nb.add(g1[t].rows[0]):
+                continue
+            for pi in line_planes[t]:
+                counts[pi] += 1
+            if feasible(t + 1, slots - 1):
+                yield from rec(t + 1, chosen + (t,), nb)
+            for pi in line_planes[t]:
+                counts[pi] -= 1
+
+    return rec(0, (), EchelonBasis(space.field))
+
+
+def assert_plane_set_is(ps, members):
+    """A PlaneSet agrees with the frozenset of its members in every view."""
+    assert ps.indices == tuple(sorted(members))
+    assert list(ps) == sorted(members) and len(ps) == len(members)
+    assert ps.iset == members
+    assert ps.mask == sum(1 << i for i in members)
+    rebuilt = PlaneSet(ps.gr, members)
+    assert ps == rebuilt and hash(ps) == hash(rebuilt)
 
 
 def outcome(classify, space, f):
@@ -1023,3 +1080,124 @@ def test_span_line_incidence_matches_vector_enumeration(q, n):
     space = Space.get(q, n)
     for k in range(2, n + 1):
         assert space.incidence(1, k) == vector_line_incidence(space, k)
+
+
+def assert_plane_set_ops_match_frozensets(gr, sets):
+    """Every PlaneSet operation against the same operation on frozensets,
+    over all pairs of the given member sets."""
+    n = len(gr)
+    built = [(PlaneSet(gr, a), a) for a in sets]
+    for pa, a in built:
+        assert_plane_set_is(pa, a)
+        assert_plane_set_is(pa.complement(), frozenset(range(n)) - a)
+        for i in range(n):
+            assert_plane_set_is(pa.with_index(i), a | {i})
+        for i in range(-1, n + 1):
+            assert_plane_set_is(pa.without_index(i), a - {i})
+        for i in (-1, n, n + 64, "x", None, 1.5):
+            assert i not in pa
+        assert [i for i in range(n) if i in pa] == sorted(a)
+        for pb, b in built:
+            assert_plane_set_is(pa.union(pb), a | b)
+            assert_plane_set_is(pa.intersection(pb), a & b)
+            assert_plane_set_is(pa.difference(pb), a - b)
+            assert pa.issubset(pb) == (a <= b)
+            assert (pa == pb) == (a == b)
+
+
+def test_plane_set_ops_match_frozensets_on_every_pair_at_2_3_1():
+    gr = Space.get(2, 3).grassmannian(1)
+    sets = [frozenset(i for i in range(7) if code >> i & 1) for code in range(128)]
+    assert_plane_set_ops_match_frozensets(gr, sets)      # 16,384 pairs
+
+
+def test_plane_set_ops_match_frozensets_on_seeded_sets_at_2_5_2():
+    gr = Space.get(2, 5).grassmannian(2)
+    rng = random.Random("planeset:2:5:2")
+    sizes = [0, 1, 2, 154, 155] + [rng.randint(3, 153) for _ in range(35)]
+    sets = [frozenset(rng.sample(range(len(gr)), size)) for size in sizes]
+    assert_plane_set_ops_match_frozensets(gr, sets)
+
+
+def test_equal_plane_sets_built_differently_hash_alike():
+    gr = Space.get(2, 5).grassmannian(2)
+    rng = random.Random("planeset-hash")
+    for _ in range(50):
+        members = rng.sample(range(len(gr)), rng.randint(0, 40))
+        ps = PlaneSet(gr, members)
+        others = [
+            PlaneSet(gr, reversed(members)),
+            PlaneSet(gr, members + members[: len(members) // 2]),
+            PlaneSet(gr, iter(set(members))),
+            ps.complement().complement(),
+            PlaneSet(gr, ()).union(ps),
+            PlaneSet(gr, range(len(gr))).intersection(ps),
+            PlaneSet(gr, range(len(gr))).difference(ps.complement()),
+            PlaneSet(gr, ps.indices + (0,)).without_index(0).union(ps),
+            PlaneSet(Space.get(2, 5).grassmannian(2), members),
+        ]
+        for other in others:
+            assert other == ps and hash(other) == hash(ps)
+
+
+def test_plane_set_index_errors_unchanged():
+    gr = Space.get(2, 4).grassmannian(2)
+    n = len(gr)
+    for bad in ([-1], [n], [0, n], [-5, 3], [3, n + 100], [-(1 << 70)], [1 << 70]):
+        with pytest.raises(ValueError, match="plane index out of range"):
+            PlaneSet(gr, bad)
+    ps = PlaneSet(gr, [1, 2])
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match="plane index out of range"):
+            ps.with_index(bad)
+    other = PlaneSet(Space.get(2, 4).grassmannian(1), [1])
+    with pytest.raises(ValueError, match="different Grassmannians"):
+        ps.union(other)
+
+
+def guard_sets(q, n, k, rng):
+    """A coordinate-plane set of size C(n, k), supersets of it one to three
+    planes larger, and random sets above C(n, k)."""
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    nk = comb(n, k)
+    sets = []
+    for _ in range(4):
+        lines = [Subspace.span(space.field, n, [r]) for r in random_invertible(space.field, n, rng).rows]
+        planes = CoordinateSystem(space, lines).coordinate_planes(k)
+        sets.append(planes)
+        outside = planes.complement().indices
+        for extra in (1, 2, 3):
+            sets.append(planes.union(PlaneSet(gk, rng.sample(outside, extra))))
+    for _ in range(8):
+        sets.append(PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(nk + 1, min(len(gk), 3 * nk)))))
+    return space, sets
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 4, 1)])
+def test_size_guard_matches_unguarded_covering_search(q, n, k):
+    space, sets = guard_sets(q, n, k, random.Random(f"guard:{q}:{n}:{k}"))
+    for ps in sets:
+        got = list(_covering_system_indices(space, ps))
+        assert got == list(unguarded_covering_system_indices(space, ps))
+        assert bool(got) == (len(ps) <= comb(n, k))     # the coordinate-plane sets are regular
+
+
+def test_size_guard_runs_no_echelon_work(monkeypatch):
+    calls = []
+    add = EchelonBasis.add
+
+    def counted(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(EchelonBasis, "add", counted)
+    for q, n, k in [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 4, 1)]:
+        space, sets = guard_sets(q, n, k, random.Random(f"guard-work:{q}:{n}:{k}"))
+        for ps in sets:
+            calls.clear()
+            found = associated_systems(ps)
+            if len(ps) > comb(n, k):
+                assert found == [] and calls == []
+            else:
+                assert found and calls      # the counter sees a search that runs
