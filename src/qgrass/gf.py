@@ -113,8 +113,9 @@ class Field:
     __slots__ = ("q", "p", "m", "modulus", "_add", "_mul", "_neg", "_inv", "_frobs")
 
     def __init__(self, q):
-        pm = _factor_prime_power(q)
-        if q not in SUPPORTED_ORDERS or pm is None:
+        # the order is checked before factoring, which never ends on 0
+        pm = _factor_prime_power(q) if q in SUPPORTED_ORDERS else None
+        if pm is None:
             raise UnsupportedOrderError(f"unsupported field order {q}")
         self.q = q
         self.p, self.m = pm

@@ -11,13 +11,15 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations, permutations, product
 from math import comb
 
 from .forms import (
     BilinearForm,
     dot_form,
     form_map,
+    singular_restriction_planes,
     standard_symplectic,
     symplectic_basis,
 )
@@ -56,7 +58,6 @@ from .regularity import (
     exactness_threshold,
     hypergraph_view,
     is_regular,
-    restrict,
 )
 
 
@@ -66,11 +67,12 @@ class InfeasibleScopeError(ValueError):
 
 def worker_count():
     """QGRASS_WORKERS controls the pool size for independent per-instance
-    scans; anything unparseable falls back to 1."""
+    scans, at most one worker per CPU; anything unparseable falls back to 1."""
     try:
-        return max(1, int(os.environ.get("QGRASS_WORKERS", "1")))
+        wanted = int(os.environ.get("QGRASS_WORKERS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _pmap(fn, items):
@@ -94,13 +96,14 @@ class CheckResult:
     counterexample: dict | None = None
 
 
-def _space(q, n):
-    return Space.get(q, n)
-
-
 def _require(cond, envelope):
     if not cond:
         raise InfeasibleScopeError(envelope)
+
+
+def _planes(plane_set, key="planes", **extra):
+    """Counterexample payload naming a plane set by its members' certificates."""
+    return {key: [_subspace_cert(s) for s in plane_set.members()], **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +123,21 @@ def random_semilinear(space, rng):
     return SemilinearMap(space.field, random_invertible(space.field, space.n, rng), sigma)
 
 
+def _alternating_rows(field, n, fill):
+    """Gram rows with zero diagonal, entries (i, j), i < j, taken from `fill`
+    row by row, and entry (j, i) = -entry (i, j)."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), a in zip(combinations(range(n), 2), fill):
+        rows[i][j] = a
+        rows[j][i] = field.neg(a)
+    return rows
+
+
 def random_alternating_gram(field, n, rng, nonsingular=True):
     """Random Gram with zero diagonal and entry (j,i) = -entry (i,j)."""
     while True:
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = rng.randrange(field.q)
-                rows[i][j] = a
-                rows[j][i] = field.neg(a)
-        m = Mat(field, rows)
+        fill = [rng.randrange(field.q) for _ in range(comb(n, 2))]
+        m = Mat(field, _alternating_rows(field, n, fill))
         if not nonsingular or m.rank() == n:
             return m
 
@@ -166,61 +174,65 @@ def random_irregular(space, k, rng, tries=200):
 
 
 # ---------------------------------------------------------------------------
-# hypergraph shape tests used by the degree theorems
+# sweeps and extremal shapes of the degree theorems
 
 
-def _hypergraphs(plane_set, systems):
-    """Axis-set views of a regular set, one per associated system."""
-    return [frozenset(frozenset(a) for a in hypergraph_view(plane_set, s)) for s in systems]
+# The extremal shapes, each as a test of whether the coordinate k-plane
+# with axis set a belongs to the shape for the ordered pair of axes (h, j).
+_SHAPES = {
+    # all coordinate k-planes through axis h
+    "pencil": lambda a, h, j: h in a,
+    # all coordinate k-planes avoiding axis h
+    "trace": lambda a, h, j: h not in a,
+    # that trace plus the pencil through the coordinate 2-plane {h, j}: the
+    # only shape of degree exactly 1 among large regular sets
+    "trace+pencil": lambda a, h, j: h not in a or {h, j} <= a,
+}
 
 
-def _is_deg1_extremal_shape(plane_set, systems, n, k):
-    """Union of a coordinate-hyperplane trace and the pencil through one
-    coordinate 2-plane not inside it; the only shape of degree exactly 1
-    among large regular sets."""
-    for hg in _hypergraphs(plane_set, systems):
-        for i, j in combinations(range(n), 2):
-            for h in (i, j):
-                target = frozenset(
-                    frozenset(a)
-                    for a in combinations(range(n), k)
-                    if h not in a or {i, j} <= set(a)
-                )
-                if hg == target:
-                    return True
-    return False
+def _shapes(n, k, *names):
+    """Axis-set hypergraphs of the named shapes over every ordered pair of
+    axes, as one set to look views up in."""
+    axes = [frozenset(a) for a in combinations(range(n), k)]
+    return {
+        frozenset(a for a in axes if _SHAPES[name](a, h, j))
+        for name in names
+        for h, j in permutations(range(n), 2)
+    }
 
 
-def _is_axis_pencil_shape(plane_set, systems, n, k):
-    """All coordinate k-planes through one axis."""
-    for hg in _hypergraphs(plane_set, systems):
-        for i in range(n):
-            if hg == frozenset(frozenset(a) for a in combinations(range(n), k) if i in a):
-                return True
-    return False
-
-
-def _is_hyperplane_trace_shape(plane_set, systems, n, k):
-    """All coordinate k-planes avoiding one axis."""
-    for hg in _hypergraphs(plane_set, systems):
-        for h in range(n):
-            if hg == frozenset(frozenset(a) for a in combinations(range(n), k) if h not in a):
-                return True
-    return False
-
-
-def _regular_subset_sweep(space, k, min_size):
-    """Every regular subset of G_k of at least the given size, each exactly
-    once, obtained by sweeping all coordinate systems."""
+def _regular_subset_sweep(space, k, min_size, systems=None):
+    """Every subset of at least the given size of the coordinate k-planes of
+    the given systems, each exactly once, in system order; by default the
+    systems are all of them, so these are the regular subsets of G_k."""
     seen = set()
-    nk = comb(space.n, k)
-    for system in all_coordinate_systems(space):
+    for system in all_coordinate_systems(space) if systems is None else systems:
         planes = system.coordinate_planes(k)
-        for size in range(min_size, nk + 1):
+        for size in range(min_size, len(planes) + 1):
             for subset in combinations(planes.indices, size):
                 if subset not in seen:
                     seen.add(subset)
-                    yield PlaneSet(space.grassmannian(k), subset)
+                    yield PlaneSet(planes.gr, subset)
+
+
+def _degree_sweep(sweep, top, shapes, zero_above=None):
+    """The degree theorems' loop: every swept set has degree at most `top`,
+    equal to it exactly when one of its axis-set views (one per associated
+    system) is in `shapes`, and degree 0 above `zero_above` members.
+    Returns the sets checked, those of degree `top`, and the first
+    counterexample or None."""
+    checked = extremal = 0
+    for rp in sweep:
+        checked += 1
+        systems = associated_systems(rp)
+        d, _ = _degree(rp, systems)
+        shape = any(
+            frozenset(frozenset(a) for a in hypergraph_view(rp, s)) in shapes for s in systems
+        )
+        if d > top or (d == top) != shape or (zero_above is not None and len(rp) > zero_above and d):
+            return checked, extremal, _planes(rp, degree=d, shape=shape)
+        extremal += d == top
+    return checked, extremal, None
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +281,14 @@ def check_prop_1_1_2(q, n, k, rng):
             )
     odd_counts = {}
     for nn in (3, 5):
-        entries = [(i, j) for i in range(nn) for j in range(i + 1, nn)]
+        entries = comb(nn, 2)
         total = 0
-        if q ** len(entries) <= 2048:
-            fills = product(range(q), repeat=len(entries))
+        if q ** entries <= 2048:
+            fills = product(range(q), repeat=entries)
         else:
-            fills = (tuple(rng.randrange(q) for _ in entries) for _ in range(500))
+            fills = (tuple(rng.randrange(q) for _ in range(entries)) for _ in range(500))
         for fill in fills:
-            rows = [[0] * nn for _ in range(nn)]
-            for (i, j), a in zip(entries, fill):
-                rows[i][j] = a
-                rows[j][i] = f.neg(a)
+            rows = _alternating_rows(f, nn, fill)
             total += 1
             if Mat(f, rows).rank() == nn:
                 return CheckResult(
@@ -302,7 +311,7 @@ def check_prop_1_1_2(q, n, k, rng):
 def check_prop_1_4_2(q, n, k, rng):
     """Maximal pairwise-adjacent families are exactly the stars and tops."""
     _require(1 < k < n - 1, "1 < k < n-1")
-    space = _space(q, n)
+    space = Space.get(q, n)
     _require(gaussian_binomial(n, k, q) <= 200, "|G_k| <= 200")
     fams = maximal_adjacent_families(space, k)
     stars = sum(1 for _, kind, _ in fams if kind == "star")
@@ -337,12 +346,10 @@ def check_prop_1_4_2(q, n, k, rng):
 def check_thm_1_3_1(q, n, k, rng):
     """Exhaustive fundamental-theorem run: the independence-preserving line
     transformations are exactly the semilinearly induced ones."""
-    from itertools import permutations
-
     from .reconstruction import ftpg_reconstruct, is_independence_preserving
 
     _require((q, n) == (2, 3), "(q, n) = (2, 3)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     g1 = space.grassmannian(1)
     passed = 0
     for perm in permutations(range(len(g1))):
@@ -368,30 +375,18 @@ def check_thm_2_2_1(q, n, k, rng):
     """Regular sets with at least c(n-1,k)+c(n-2,k-2) members have degree of
     inexactness at most 1, with equality exactly for the extremal shape."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     threshold = exactness_threshold(n, k)
-    checked = 0
-    deg1 = 0
-    for rp in _regular_subset_sweep(space, k, threshold):
-        checked += 1
-        systems = associated_systems(rp)
-        d, _ = _degree(rp, systems)
-        shape = _is_deg1_extremal_shape(rp, systems, n, k)
-        if d > 1 or (d == 1) != shape or (len(rp) > threshold and d != 0):
-            return CheckResult(
-                "thm-2.2.1",
-                False,
-                f"all regular subsets of G_{k}^{n}(GF({q})) with >= {threshold} members",
-                {"checked": checked},
-                {"planes": [_subspace_cert(s) for s in rp.members()], "degree": d, "shape": shape},
-            )
-        if d == 1:
-            deg1 += 1
+    checked, deg1, bad = _degree_sweep(
+        _regular_subset_sweep(space, k, threshold), 1, _shapes(n, k, "trace+pencil"), threshold
+    )
+    where = f"regular subsets of G_{k}^{n}(GF({q})) with >= {threshold} members"
+    if bad:
+        return CheckResult("thm-2.2.1", False, f"all {where}", {"checked": checked}, bad)
     return CheckResult(
         "thm-2.2.1",
         True,
-        f"all {checked} regular subsets of G_{k}^{n}(GF({q})) with >= {threshold} members, "
-        "every coordinate system swept",
+        f"all {checked} {where}, every coordinate system swept",
         {"checked": checked, "degree_1_sets": deg1, "threshold": threshold},
     )
 
@@ -399,9 +394,10 @@ def check_thm_2_2_1(q, n, k, rng):
 def check_thm_2_2_2(q, n, k, rng):
     """Degree-2 classification for large regular sets; for line sets the
     degree is n - |R| exactly."""
-    space = _space(q, n)
+    space = Space.get(q, n)
     if k == 1:
-        _require(q == 2 and n <= 4, "k = 1 with q = 2, n <= 4")
+        # G_1 of F^1 has a single system, so the statement needs n >= 2
+        _require(q == 2 and 2 <= n <= 4, "k = 1 with q = 2, 2 <= n <= 4")
         g1 = space.grassmannian(1)
         checked = 0
         for size in range(0, n + 1):
@@ -418,7 +414,7 @@ def check_thm_2_2_2(q, n, k, rng):
                         False,
                         "all independent line sets",
                         {"checked": checked},
-                        {"lines": [_subspace_cert(s) for s in rp.members()], "degree": d},
+                        _planes(rp, "lines", degree=d),
                     )
         return CheckResult(
             "thm-2.2.2",
@@ -432,65 +428,28 @@ def check_thm_2_2_2(q, n, k, rng):
         _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2) for the middle case")
         threshold = comb(n - 1, k)
         sweep = _regular_subset_sweep(space, k, threshold)
+        shapes = _shapes(n, k, "pencil", "trace")
         scope = (
             f"all regular subsets of G_{k}^{n}(GF({q})) with >= {threshold} members, "
             "every coordinate system swept"
         )
-
-        def is_extremal(rp, systems):
-            return (_is_axis_pencil_shape(rp, systems, n, k)
-                    or _is_hyperplane_trace_shape(rp, systems, n, k))
-
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
         threshold = comb(n - 1, k - 1) if n - k < k else comb(n - 1, k)
         base = CoordinateSystem.from_line_indices(space, next(_systems_within(space, 1, [-1])))
-        planes = base.coordinate_planes(k)
-        extra_systems = []
+        systems = [base]
         for _ in range(10):
             h = SemilinearMap(space.field, random_invertible(space.field, n, rng))
-            lines = [h.apply_subspace(l) for l in base.lines]
-            extra_systems.append(CoordinateSystem(space, lines))
-        pools = [planes] + [s.coordinate_planes(k) for s in extra_systems]
-
-        def sweep_gen():
-            seen = set()
-            for pool in pools:
-                for size in range(threshold, comb(n, k) + 1):
-                    for subset in combinations(pool.indices, size):
-                        if subset not in seen:
-                            seen.add(subset)
-                            yield PlaneSet(space.grassmannian(k), subset)
-
-        sweep = sweep_gen()
+            systems.append(CoordinateSystem(space, [h.apply_subspace(l) for l in base.lines]))
+        sweep = _regular_subset_sweep(space, k, threshold, systems)
+        shapes = _shapes(n, k, "pencil" if n - k < k else "trace")
         scope = (
             f"all size >= {threshold} subsets of the coordinate k-planes of the first "
             f"canonical system of G_{k}^{n}(GF({q})) plus 10 random transported systems"
         )
-        if n - k < k:
-            def is_extremal(rp, systems):
-                return _is_axis_pencil_shape(rp, systems, n, k)
-        else:
-            def is_extremal(rp, systems):
-                return _is_hyperplane_trace_shape(rp, systems, n, k)
-
-    checked = 0
-    deg2 = 0
-    for rp in sweep:
-        checked += 1
-        systems = associated_systems(rp)
-        d, _ = _degree(rp, systems)
-        shape = is_extremal(rp, systems)
-        if d > 2 or (d == 2) != shape:
-            return CheckResult(
-                "thm-2.2.2",
-                False,
-                scope,
-                {"checked": checked},
-                {"planes": [_subspace_cert(s) for s in rp.members()], "degree": d, "shape": shape},
-            )
-        if d == 2:
-            deg2 += 1
+    checked, deg2, bad = _degree_sweep(sweep, 2, shapes)
+    if bad:
+        return CheckResult("thm-2.2.2", False, scope, {"checked": checked}, bad)
     return CheckResult(
         "thm-2.2.2", True, scope, {"checked": checked, "degree_2_sets": deg2, "threshold": threshold}
     )
@@ -498,7 +457,7 @@ def check_thm_2_2_2(q, n, k, rng):
 
 def _meeting_status_item(args):
     q, n, k, m, idx = args
-    space = _space(q, n)
+    space = Space.get(q, n)
     s = space.grassmannian(m)[idx]
     full = len(space.grassmannian(k))
     x = planes_meeting(space, s, k)
@@ -523,7 +482,7 @@ def check_prop_3_1_3(q, n, k, rng):
     """Meeting and cohyperplanar sets: coverage, irregularity, and maximality
     exactly at complementary dimension, where the two sets coincide."""
     _require(1 < k < n - 1, "1 < k < n-1")
-    space = _space(q, n)
+    space = Space.get(q, n)
     _require(gaussian_binomial(n, k, q) <= 200, "|G_k| <= 200")
     items = [
         (q, n, k, m, i)
@@ -547,41 +506,32 @@ def check_prop_3_1_3(q, n, k, rng):
     )
 
 
+def _meeting_families(space, k):
+    """(s, meeting set of s) for every s with 1 <= dim s <= n-k, and (s,
+    cohyperplanar set of s) for every s with n-k <= dim s < n."""
+    n = space.n
+    meeting = [(s, planes_meeting(space, s, k)) for m in range(1, n - k + 1) for s in space.grassmannian(m)]
+    cohyperplanar = [
+        (s, planes_cohyperplanar(space, s, k)) for m in range(n - k, n) for s in space.grassmannian(m)
+    ]
+    return meeting, cohyperplanar
+
+
 def _sample_irregular_family(space, k, rng, count):
     """Irregular sets from constructors plus seeded random ones."""
-    out = []
-    n = space.n
-    for m in range(1, n - k + 1):
-        for s in space.grassmannian(m):
-            out.append(planes_meeting(space, s, k))
-    for m in range(n - k, n):
-        for s in space.grassmannian(m):
-            out.append(planes_cohyperplanar(space, s, k))
-    if n % 2 == 0:
-        out.append(
-            PlaneSet(
-                space.grassmannian(k),
-                [
-                    i
-                    for i, s in enumerate(space.grassmannian(k))
-                    if _restricted_rank(standard_symplectic(space.field, n), s) < k
-                ],
-            )
-        )
-    for _ in range(count):
-        out.append(random_irregular(space, k, rng))
+    meeting, cohyperplanar = _meeting_families(space, k)
+    out = [x for _, x in meeting + cohyperplanar]
+    if space.n % 2 == 0:
+        out.append(singular_restriction_planes(space, standard_symplectic(space.field, space.n), k))
+    out.extend(random_irregular(space, k, rng) for _ in range(count))
     return out
-
-
-def _restricted_rank(form, s):
-    return Mat(form.field, [tuple(form.evaluate(a, b) for b in s.rows) for a in s.rows]).rank()
 
 
 def check_prop_3_2_1(q, n, k, rng):
     """Characteristic bounds for irregular sets: the saturated-line span has
     dimension at most n-k and the saturated-hyperplane core at least n-k."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     sets = _sample_irregular_family(space, k, rng, 500)
     for ps in sets:
         ch = characteristics(ps)
@@ -591,11 +541,7 @@ def check_prop_3_2_1(q, n, k, rng):
                 False,
                 f"{len(sets)} irregular sets",
                 {},
-                {
-                    "planes": [_subspace_cert(s) for s in ps.members()],
-                    "line_span_dim": ch.line_span_dim,
-                    "hyperplane_core_dim": ch.hyperplane_core_dim,
-                },
+                _planes(ps, line_span_dim=ch.line_span_dim, hyperplane_core_dim=ch.hyperplane_core_dim),
             )
     return CheckResult(
         "prop-3.2.1",
@@ -611,31 +557,21 @@ def check_thm_3_2_1(q, n, k, rng):
     the cohyperplanar set of their hyperplane core; dropping maximality
     breaks the first inclusion."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     sets = []
     for s in space.grassmannian(n - k):
         sets.append(planes_meeting(space, s, k))
     for _ in range(40):
         sets.append(complete_to_maximal_irregular(random_irregular(space, k, rng)))
-    s0 = space.grassmannian(n - k - 1)[0]
-    t0 = next(
-        t for t in space.grassmannian(k + 1) if meet(s0, t).k == 0
-    )
-    sets.append(deficient_irregular(space, s0, t0).result)
+    sets.append(_first_construction(space, k)[2])
     for ps in sets:
         ch = characteristics(ps)
-        if ch.line_span is not None and ch.line_span.k >= 1:
-            if not planes_meeting(space, ch.line_span, k).issubset(ps):
-                return CheckResult(
-                    "thm-3.2.1", False, "maximal irregular sets", {},
-                    {"planes": [_subspace_cert(s) for s in ps.members()], "side": "line span"},
-                )
-        if ch.hyperplane_core is not None and 1 <= ch.hyperplane_core.k:
-            if not planes_cohyperplanar(space, ch.hyperplane_core, k).issubset(ps):
-                return CheckResult(
-                    "thm-3.2.1", False, "maximal irregular sets", {},
-                    {"planes": [_subspace_cert(s) for s in ps.members()], "side": "hyperplane core"},
-                )
+        for base, family, side in (
+            (ch.line_span, planes_meeting, "line span"),
+            (ch.hyperplane_core, planes_cohyperplanar, "hyperplane core"),
+        ):
+            if base is not None and base.k >= 1 and not family(space, base, k).issubset(ps):
+                return CheckResult("thm-3.2.1", False, "maximal irregular sets", {}, _planes(ps, side=side))
     # counterexample without maximality: a punctured meeting set keeps the
     # line span but loses the inclusion
     s = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
@@ -663,36 +599,28 @@ def check_thm_3_2_2(q, n, k, rng):
     """Traces of irregular sets on complements never contain a maximal
     regular subset of the sub-Grassmannian."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     sets = [planes_meeting(space, s, k) for s in space.grassmannian(n - k)]
     for _ in range(30):
         sets.append(random_irregular(space, k, rng))
     checked = 0
     for ps in sets:
         ch = characteristics(ps)
-        if ch.line_span is not None:
-            for line in ch.saturated_lines.members():
-                for t in space.grassmannian(n - 1):
-                    if meet(line, t).k != 0:
+        # saturated lines against transverse hyperplanes, then saturated
+        # hyperplanes against transverse lines
+        for saturated, complements in (
+            (ch.saturated_lines, space.grassmannian(n - 1)),
+            (ch.saturated_hyperplanes, space.grassmannian(1)),
+        ):
+            for u in saturated.members():
+                for t in complements:
+                    if meet(u, t).k != 0:
                         continue
                     checked += 1
                     if restricted_status(ps, t) == STATUS_CONTAINS_MAXIMAL_REGULAR:
                         return CheckResult(
                             "thm-3.2.2", False, "irregular traces", {"checked": checked},
-                            {"planes": [_subspace_cert(s) for s in ps.members()],
-                             "t": _subspace_cert(t)},
-                        )
-        if ch.hyperplane_core is not None:
-            for hyp in ch.saturated_hyperplanes.members():
-                for t in space.grassmannian(1):
-                    if meet(t, hyp).k != 0:
-                        continue
-                    checked += 1
-                    if restricted_status(ps, t) == STATUS_CONTAINS_MAXIMAL_REGULAR:
-                        return CheckResult(
-                            "thm-3.2.2", False, "irregular traces", {"checked": checked},
-                            {"planes": [_subspace_cert(s) for s in ps.members()],
-                             "t": _subspace_cert(t)},
+                            _planes(ps, t=_subspace_cert(t)),
                         )
     return CheckResult(
         "thm-3.2.2",
@@ -702,65 +630,47 @@ def check_thm_3_2_2(q, n, k, rng):
     )
 
 
-def check_thm_3_2_3(q, n, k, rng):
-    """The deficient construction yields a maximal irregular set containing
-    the meeting set, with line-span dimension n-k-1 and a trace on the
-    carrier that is not maximal irregular there."""
+def _first_construction(space, k, dual=False):
+    """Base s, carrier t and result of the first canonical instance of the
+    deficient construction: s is the first subspace of dimension n-k-1 and t
+    the first (k+1)-space meeting it trivially; n-k+1 and k-1 for the dual."""
+    step = 1 if dual else -1
+    s = space.grassmannian(space.n - k + step)[0]
+    t = next(tt for tt in space.grassmannian(k - step) if meet(s, tt).k == 0)
+    return s, t, (deficient_irregular_dual if dual else deficient_irregular)(space, s, t).result
+
+
+def check_deficient_construction(q, n, k, rng, dual):
+    """thm-3.2.3: the deficient construction yields a maximal irregular set
+    containing the meeting set of its base s, with line-span dimension
+    dim s = n-k-1 and a trace on the carrier that is not maximal irregular
+    there.  thm-3.2.4 (dual): containing the cohyperplanar set of s, with
+    hyperplane-core dimension dim s = n-k+1, and the same kind of trace."""
     _require(q == 2 and (n, k) in ((4, 2), (5, 2), (5, 3)), "(q, n, k) in {(2,4,2), (2,5,2), (2,5,3)}")
-    space = _space(q, n)
-    s = space.grassmannian(n - k - 1)[0]
-    t = next(tt for tt in space.grassmannian(k + 1) if meet(s, tt).k == 0)
-    built = deficient_irregular(space, s, t)
-    ch = characteristics(built.result)
-    status = restricted_status(built.result, t)
+    space = Space.get(q, n)
+    s, t, built = _first_construction(space, k, dual)
+    family, dim = (planes_cohyperplanar, "hyperplane_core_dim") if dual else (planes_meeting, "line_span_dim")
+    got = getattr(characteristics(built), dim)
+    status = restricted_status(built, t)
     ok = (
-        is_maximal_irregular(built.result)
-        and planes_meeting(space, s, k).issubset(built.result)
-        and ch.line_span_dim == n - k - 1
+        is_maximal_irregular(built)
+        and family(space, s, k).issubset(built)
+        and got == s.k
         and status not in (STATUS_MAXIMAL_IRREGULAR, STATUS_CONTAINS_MAXIMAL_REGULAR)
     )
     return CheckResult(
-        "thm-3.2.3",
+        "thm-3.2.4" if dual else "thm-3.2.3",
         ok,
-        f"first canonical construction instance at (q, n, k) = ({q}, {n}, {k})",
-        {"size": len(built.result), "line_span_dim": ch.line_span_dim, "trace_status": status},
-        None
-        if ok
-        else {"planes": [_subspace_cert(x) for x in built.result.members()], "status": status},
-    )
-
-
-def check_thm_3_2_4(q, n, k, rng):
-    """Dual deficient construction: hyperplane-core dimension n-k+1 and a
-    non-maximal trace on the low-dimensional carrier."""
-    _require(q == 2 and (n, k) in ((4, 2), (5, 2), (5, 3)), "(q, n, k) in {(2,4,2), (2,5,2), (2,5,3)}")
-    space = _space(q, n)
-    s = space.grassmannian(n - k + 1)[0]
-    t = next(tt for tt in space.grassmannian(k - 1) if meet(s, tt).k == 0)
-    built = deficient_irregular_dual(space, s, t)
-    ch = characteristics(built.result)
-    status = restricted_status(built.result, t)
-    ok = (
-        is_maximal_irregular(built.result)
-        and planes_cohyperplanar(space, s, k).issubset(built.result)
-        and ch.hyperplane_core_dim == n - k + 1
-        and status not in (STATUS_MAXIMAL_IRREGULAR, STATUS_CONTAINS_MAXIMAL_REGULAR)
-    )
-    return CheckResult(
-        "thm-3.2.4",
-        ok,
-        f"first canonical dual construction instance at (q, n, k) = ({q}, {n}, {k})",
-        {"size": len(built.result), "hyperplane_core_dim": ch.hyperplane_core_dim, "trace_status": status},
-        None
-        if ok
-        else {"planes": [_subspace_cert(x) for x in built.result.members()], "status": status},
+        f"first canonical {'dual ' if dual else ''}construction instance at (q, n, k) = ({q}, {n}, {k})",
+        {"size": len(built), dim: got, "trace_status": status},
+        None if ok else _planes(built, status=status),
     )
 
 
 def check_lemma_3_2_1(q, n, k, rng):
     """Form-defined bijections swap and complement the two characteristics."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
+    space = Space.get(q, n)
     gk = space.grassmannian(k)
     forms = [
         dot_form(space.field, n),
@@ -781,8 +691,7 @@ def check_lemma_3_2_1(q, n, k, rng):
             if cf.line_span_dim != n - ci.hyperplane_core_dim or cf.hyperplane_core_dim != n - ci.line_span_dim:
                 return CheckResult(
                     "lemma-3.2.1", False, "form-map duality", {"checked": checked},
-                    {"planes": [_subspace_cert(s) for s in ps.members()],
-                     "gram": [list(r) for r in form.gram.rows]},
+                    _planes(ps, gram=[list(r) for r in form.gram.rows]),
                 )
     return CheckResult(
         "lemma-3.2.1",
@@ -796,16 +705,9 @@ def check_cor_3_2_2(q, n, k, rng):
     """Whenever a meeting set and a cohyperplanar set both sit inside one
     irregular set at admissible dimensions, their bases are nested."""
     _require((q, n, k) == (2, 4, 2), "(q, n, k) = (2, 4, 2)")
-    space = _space(q, n)
-    xs = []
-    for m in range(1, n - k + 1):
-        for s in space.grassmannian(m):
-            xs.append((s, planes_meeting(space, s, k)))
-    ys = []
-    for m in range(n - k, n):
-        for s in space.grassmannian(m):
-            ys.append((s, planes_cohyperplanar(space, s, k)))
-    sets = [planes_meeting(space, s, k) for s in space.grassmannian(n - k)]
+    space = Space.get(q, n)
+    xs, ys = _meeting_families(space, k)
+    sets = [x for s, x in xs if s.k == n - k]
     for _ in range(60):
         sets.append(complete_to_maximal_irregular(random_irregular(space, k, rng)))
     checked = 0
@@ -821,8 +723,7 @@ def check_cor_3_2_2(q, n, k, rng):
                     return CheckResult(
                         "cor-3.2.2", False, "nesting of included meeting/cohyperplanar bases",
                         {"checked": checked},
-                        {"planes": [_subspace_cert(s) for s in ps.members()],
-                         "s1": _subspace_cert(s1), "s2": _subspace_cert(s2)},
+                        _planes(ps, s1=_subspace_cert(s1), s2=_subspace_cert(s2)),
                     )
     return CheckResult(
         "cor-3.2.2",
@@ -862,8 +763,8 @@ CHECKS = {
         check_thm_2_2_2,
         "degree at most 2 above the stated size threshold, equality cases classified; "
         "for line sets the degree is n - |R|",
-        "(2, 4, 2) and k = 1 exhaustive; (2, 5, 2) and (2, 5, 3) over the canonical system "
-        "plus random transported systems",
+        "(2, 4, 2), and k = 1 with q = 2, 2 <= n <= 4, exhaustive; (2, 5, 2) and (2, 5, 3) "
+        "over the canonical system plus random transported systems",
     ),
     "prop-3.1.3": (
         check_prop_3_1_3,
@@ -886,12 +787,12 @@ CHECKS = {
         "(q, n, k) = (2, 4, 2)",
     ),
     "thm-3.2.3": (
-        check_thm_3_2_3,
+        partial(check_deficient_construction, dual=False),
         "deficient construction: maximal irregular, line span one short of maximal, non-maximal trace",
         "(q, n, k) in {(2, 4, 2), (2, 5, 2), (2, 5, 3)}",
     ),
     "thm-3.2.4": (
-        check_thm_3_2_4,
+        partial(check_deficient_construction, dual=True),
         "dual deficient construction with hyperplane core one beyond complementary dimension",
         "(q, n, k) in {(2, 4, 2), (2, 5, 2), (2, 5, 3)}",
     ),

@@ -123,6 +123,12 @@ def test_criterion_03_maximal_adjacent_families():
 def test_criterion_04_degree_theorem_large_sets():
     t0 = time.time()
     r = run_check("thm-2.2.1", 2, 4, 2)
+    # scope and certificates as first recorded, so the sweep is pinned as
+    # closely as a golden `verify` case without a second 19 s run
+    assert r.scope == (
+        "all 13440 regular subsets of G_2^4(GF(2)) with >= 4 members, every coordinate system swept"
+    )
+    assert r.details == {"checked": 13440, "degree_1_sets": 5040, "threshold": 4}
     report(
         4,
         r.passed,
@@ -136,6 +142,11 @@ def test_criterion_05_degree_theorem_middle_and_lines():
     t0 = time.time()
     r = run_check("thm-2.2.2", 2, 4, 2)
     r1 = run_check("thm-2.2.2", 2, 4, 1)
+    # scope and certificates as first recorded (see criterion 4)
+    assert r.scope == "all regular subsets of G_2^4(GF(2)) with >= 3 members, every coordinate system swept"
+    assert r.details == {"checked": 16800, "degree_2_sets": 840, "threshold": 3}
+    assert r1.scope == "all 1381 regular line sets of G_1^4(GF(2)): degree = n - |R|"
+    assert r1.details == {"checked": 1381}
     report(
         5,
         r.passed and r1.passed,

@@ -305,12 +305,70 @@ def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, 
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
-def test_cli_import_leaves_harness_unloaded():
-    # analyze and classify need no harness; only verify and checks load it
-    code = "import sys, qgrass.cli; print('qgrass.harness' in sys.modules)"
-    # the child imports qgrass from where this process found it, also when
-    # pytest put src on sys.path through its own configuration only
+def run_child(args, timeout=60, cwd=None):
+    """Run Python in a child process that imports qgrass from where this
+    process found it, also when pytest put src on sys.path through its own
+    configuration only; a hang fails the test at the timeout."""
     src = os.path.dirname(os.path.dirname(qgrass.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, cwd=cwd)
+
+
+def test_cli_import_leaves_harness_unloaded():
+    # analyze and classify need no harness; only verify and checks load it
+    out = run_child(["-c", "import sys, qgrass.cli; print('qgrass.harness' in sys.modules)"])
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv,files,err",
+    [
+        pytest.param(["enumerate", "--q", "0", "--n", "2", "--k", "1"], {}, "error", id="enumerate"),
+        pytest.param(["enumerate", "--q", "0", "--n", "2", "--k", "1", "--count-only"], {}, "error",
+                     id="enumerate-count-only"),
+        pytest.param(["analyze", "--in", "f"], {"f": "planeset 0 2 1 0\n"}, "parse-error", id="planeset"),
+        pytest.param(["classify", "--in", "f"], {"f": "maptable 0 2 1 1\n"}, "parse-error", id="maptable"),
+        pytest.param(["verify", "--theorem", "thm-2.2.2", "--q", "0", "--n", "4", "--k", "2"], {}, "error",
+                     id="verify"),
+    ],
+)
+def test_field_order_zero_refused(tmp_path, argv, files, err):
+    # factoring 0 into a prime power never ends, so the order is checked first
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = run_child(["-m", "qgrass.cli", *argv], timeout=30, cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (2, f"{err} unsupported field order 0\n")
+
+
+def test_library_field_order_zero_refused():
+    out = run_child(["-c", "import qgrass\ntry:\n    qgrass.field(0)\nexcept ValueError as e:\n    print(e)"],
+                    timeout=30)
+    assert out.stdout == "unsupported field order 0\n"
+
+
+VERIFY_SWEEP = """
+import contextlib, io
+from qgrass.cli import main
+from qgrass.harness import CHECKS
+for cid in sorted(CHECKS):
+    for q in (0, 1, 2):
+        for n in range(-1, 4):
+            for k in range(-1, 3):
+                argv = ["verify", "--theorem", cid, "--q", str(q), "--n", str(n), "--k", str(k)]
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        code = main(argv)
+                except Exception as exc:
+                    code = repr(exc)
+                if code not in (0, 2, 3):
+                    print(cid, q, n, k, code)
+"""
+
+
+def test_verify_exit_codes_on_small_and_degenerate_parameters():
+    # every check id at q in {0, 1, 2}, -1 <= n <= 3, -1 <= k <= 2: a verdict,
+    # a usage error or an envelope refusal, never a traceback, a hang or a
+    # FAIL reported outside what the check covers
+    out = run_child(["-c", VERIFY_SWEEP], timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")

@@ -14,6 +14,15 @@ still shows.  Three (2,4,2) plane sets are analyzed in regular, irregular
 and degree mode; the degree outputs were recorded before `analyze` moved to
 one covering search per call.
 
+The `verify-*` cases pin the report and exit code of `qgrass verify` for
+every check id at a cheap point: (2,4,2) for each id whose envelope takes
+it, except thm-2.2.1 and thm-2.2.2, which take 19 s and 30 s there and are
+pinned through criteria 4 and 5 of the acceptance suite instead; thm-1.3.1
+at (2,3,1); the line-set branch of thm-2.2.2 at (2,4,1); thm-3.2.3 at
+(2,5,2) and thm-3.2.4 at (2,5,3); one infeasible scope (thm-1.3.1 at
+(2,4,1), exit 3) and one unknown id (exit 2).  They were recorded before the
+harness merged its duplicate sweeps, shape tests and construction checks.
+
 To re-record a case after an intended output change, run the same command
 from `tests/golden/` and overwrite its `.stdout` file.
 """
@@ -41,7 +50,23 @@ for name in ("regular", "meeting", "superset"):
         CASES[f"analyze-{name}-2-4-2-{mode}"] = [
             "analyze", "--in", f"{name}-2-4-2.planeset", "--mode", mode,
         ]
-
+VERIFY_POINTS = [
+    (cid, "2-4-2")
+    for cid in (
+        "remark-2.2.1", "prop-1.1.2", "prop-1.4.2", "prop-3.1.3", "prop-3.2.1", "thm-3.2.1",
+        "thm-3.2.2", "thm-3.2.3", "thm-3.2.4", "lemma-3.2.1", "cor-3.2.2",
+    )
+] + [
+    ("thm-1.3.1", "2-3-1"),
+    ("thm-1.3.1", "2-4-1"),
+    ("thm-2.2.2", "2-4-1"),
+    ("thm-3.2.3", "2-5-2"),
+    ("thm-3.2.4", "2-5-3"),
+]
+for cid, point in VERIFY_POINTS:
+    q, n, k = point.split("-")
+    CASES[f"verify-{cid}-{point}"] = ["verify", "--theorem", cid, "--q", q, "--n", n, "--k", k]
+CASES["verify-unknown-id"] = ["verify", "--theorem", "no-such-id", "--q", "2", "--n", "4", "--k", "2"]
 
 def test_every_recorded_case_is_run():
     recorded = {p.stem for p in GOLDEN.glob("*.stdout")}

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from qgrass.harness import CHECKS, InfeasibleScopeError, run_check, worker_count
@@ -28,8 +30,25 @@ def test_seeded_checks_deterministic():
 def test_worker_pool_parity(monkeypatch):
     base = run_check("prop-3.1.3", 2, 4, 2)
     monkeypatch.setenv("QGRASS_WORKERS", "3")
-    assert worker_count() == 3
+    assert worker_count() == min(3, os.cpu_count() or 1)
     parallel = run_check("prop-3.1.3", 2, 4, 2)
     assert (parallel.passed, parallel.details) == (base.passed, base.details)
     monkeypatch.setenv("QGRASS_WORKERS", "junk")
     assert worker_count() == 1
+
+
+def test_worker_count_bounded_by_cpu_count(monkeypatch):
+    # the value only sizes a pool; none is started here
+    monkeypatch.setenv("QGRASS_WORKERS", "100000")
+    assert worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("QGRASS_WORKERS", "0")
+    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_line_degree_check_envelope(n):
+    # G_1 of F_2^0 is empty and G_1 of F_2^1 has one system, so the
+    # statement only has content from n = 2
+    with pytest.raises(InfeasibleScopeError) as exc:
+        run_check("thm-2.2.2", 2, n, 1)
+    assert "2 <= n <= 4" in str(exc.value)
