@@ -17,11 +17,12 @@ from .grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    _extension_rows,
     gaussian_binomial,
     incidence_set,
     meet,
 )
-from .linalg import EchelonBasis, Mat
+from .linalg import Mat
 from .maps import SemilinearMap, induced_map
 from .regularity import CoordinateSystem, _systems_within, is_regular
 
@@ -383,11 +384,7 @@ def _invertible_matrices(field, n):
 def _matrices_mapping(field, n, src, dst):
     """All invertible matrices carrying the subspace src onto dst, under the
     row-vector action v -> v M^t; ascending in the image rows."""
-    ext = []
-    eb = EchelonBasis(field, src.rows)
-    for v in Mat.identity(field, n).rows:
-        if eb.add(v):
-            ext.append(v)
+    ext = _extension_rows(src, Subspace(field, n, Mat.identity(field, n).rows))
     dom = Mat(field, tuple(src.rows) + tuple(ext))
     dom_inv_t = dom.inv().transpose()
     dst_vecs = [v for v in dst.vectors() if any(v)]

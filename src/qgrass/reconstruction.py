@@ -12,9 +12,8 @@ from itertools import combinations
 from operator import and_, itemgetter
 
 from .forms import standard_symplectic, form_map
-from .grassmann import GrassmannMap
 from .linalg import Mat
-from .maps import SemilinearMap, induced_map
+from .maps import SemilinearMap, induced_map, induces
 from .regularity import _independent, _systems_within, maximal_regular_family
 
 
@@ -173,84 +172,58 @@ def is_distance_preserving(space, f):
     return distance_violation(space, f) is None
 
 
-def _star_image_map(space, f, j):
-    """Classify the images of the stars of G_j and build the induced map.
+def _line_descent(space, f):
+    """Classify a transformation of G_k, 1 <= k <= n-1, on the line
+    Grassmannian.
 
-    Returns ("star", map on G_{j-1}) when every star maps to a star, or
-    ("top", None) when every star maps to a top; a mixture violates the
-    star-image dichotomy and raises.
+    When n = 2k and the planes through line 0 map onto the planes inside a
+    hyperplane, the table is composed with the standard symplectic form map
+    first; one such row tells the form-composed class apart, since a
+    semilinear map sends the planes through a line to the planes through a
+    line.  The (composed) table's action on lines is then read off in one
+    step with `induces`, reconstructed there, lifted back to G_k and checked
+    against the input table.  At k = n-1 the matrix is scaled by the first
+    nonzero entry of the first row of its inverse, the scalar under which
+    the hyperplane table was conjugated to a line table through the dot
+    form.
     """
-    gj1 = space.grassmannian(j - 1)
-    star_of = space.plane_of_incidence(j, j - 1)
-    top_of = space.plane_of_incidence(j, j + 1)
-    kind = None
-    table = []
-    for row in space.incidence(j, j - 1):
-        img = frozenset(f.table[i] for i in row)
-        if img in star_of:
-            this = "star"
-            table.append(star_of[img])
-        elif img in top_of:
-            this = "top"
-        else:
-            raise RuntimeError("star image is neither a star nor a top")
-        if kind not in (None, this):
-            raise RuntimeError("star images are of mixed kinds")
-        kind = this
-    return ("top", None) if kind == "top" else ("star", GrassmannMap(gj1, gj1, table))
-
-
-def _chow_reconstruct(space, f):
-    """Reconstruct a transformation of G_k, 1 < k < n-1, from its star images.
-
-    The star images determine whether the transformation already descends
-    (case: stars map to stars).  Otherwise n = 2k and composing with the
-    standard symplectic form map reduces to the descending case.  The map is
-    then walked down to the line Grassmannian, reconstructed there, lifted
-    back, and verified against the input table.
-    """
-    k = f.domain.k
-    n = space.n
+    k, n = f.domain.k, space.n
+    if not 1 <= k <= n - 1:
+        raise ValueError("classification needs 1 <= k <= n-1")
+    form = post = None
     work = f
-    form = None
-    post = None
-    kind, down = _star_image_map(space, work, k)
-    if kind == "top":
-        if n != 2 * k:
-            raise RuntimeError("top-valued star images can only occur when n = 2k")
-        form = standard_symplectic(space.field, n)
-        post = form_map(space, form, k)
-        work = post.compose(f)
-        kind, down = _star_image_map(space, work, k)
-        if kind != "star":
-            raise RuntimeError("form composition did not straighten the star images")
-
-    level = k - 1
-    cur = down
-    while level > 1:
-        kind, cur = _star_image_map(space, cur, level)
-        if kind != "star":
-            raise RuntimeError("descent left the star-to-star regime")
-        level -= 1
-
-    h = ftpg_reconstruct(space, cur)
+    if k > 1 and n == 2 * k:
+        star = frozenset(f.table[i] for i in space.incidence(k, 1)[0])
+        if star in space.plane_of_incidence(k, n - 1):
+            form = standard_symplectic(space.field, n)
+            post = form_map(space, form, k)
+            work = post.compose(f)
+    lines = work if k == 1 else induces(space, work, 1)
+    if lines is None:
+        raise RuntimeError("the table induces no transformation of the lines")
+    h = ftpg_reconstruct(space, lines)
+    if k == 1:
+        # ftpg_reconstruct has checked the line table already
+        return ClassificationResult("linear", map=h, verified=True)
+    if k == n - 1:
+        h = h.scaled(next(x for x in h.matrix.inv().rows[0] if x))
     candidate = induced_map(space, h, k)
     if post is not None:
         candidate = post.inverse().compose(candidate)
     if candidate != f:
         bad = next(i for i in range(len(f.table)) if f.table[i] != candidate.table[i])
         return ClassificationResult("not_classifiable", witness=(f.domain[bad],))
-    kind_out = "linear" if form is None else "form_composed"
-    return ClassificationResult(kind_out, map=h, form=form, verified=True)
+    kind = "linear" if form is None else "form_composed"
+    return ClassificationResult(kind, map=h, form=form, verified=True)
 
 
 def chow_classify(space, f):
     """Classify a distance-preserving transformation of G_k, 1 < k < n-1.
 
-    The table is reconstructed first (`_chow_reconstruct`: star-image
-    descent, reconstruction on the line Grassmannian, table check).  A
-    verified reconstruction needs no distance scan: the table is induced by
-    a semilinear map, alone or followed by a form map, and both preserve
+    The table is reconstructed first (`_line_descent`: descent to the line
+    Grassmannian, reconstruction there, table check).  A verified
+    reconstruction needs no distance scan: the table is induced by a
+    semilinear map, alone or followed by a form map, and both preserve
     distance.  Only when the reconstruction fails are the distances
     compared, to name a pair whose distance changes; without one the
     reconstruction's own outcome stands.
@@ -258,7 +231,7 @@ def chow_classify(space, f):
     k = f.domain.k
     if not 1 < k < space.n - 1:
         raise ValueError("adjacency-based classification needs 1 < k < n-1")
-    return _certify_first(space, f, _chow_reconstruct, distance_violation, NotDistancePreservingError)
+    return _certify_first(space, f, _line_descent, distance_violation, NotDistancePreservingError)
 
 
 def regular_violation(space, f):
@@ -303,26 +276,11 @@ def regular_violation(space, f):
 
 def _reconstruct(space, f):
     """Classify f by reconstruction alone: the adjacency-based classifier at
-    middle dimensions, direct reconstruction at k = 1, and at k = n-1
-    conjugation to the line case by a form-defined bijection."""
-    k = f.domain.k
-    n = space.n
-    if 1 < k < n - 1:
+    middle dimensions, the descent to the line Grassmannian at k = 1 and
+    k = n-1."""
+    if 1 < f.domain.k < space.n - 1:
         return chow_classify(space, f)
-    if k == 1:
-        h = ftpg_reconstruct(space, f)
-        return ClassificationResult("linear", map=h, verified=True)
-    if k == n - 1:
-        from .forms import dot_form
-
-        g = form_map(space, dot_form(space.field, n), n - 1)
-        f_prime = g.compose(f).compose(g.inverse())
-        h1 = ftpg_reconstruct(space, f_prime)
-        h = SemilinearMap(space.field, h1.matrix.transpose().inv(), h1.sigma)
-        if induced_map(space, h, n - 1) != f:
-            return ClassificationResult("not_classifiable", witness=("conjugation mismatch",))
-        return ClassificationResult("linear", map=h, verified=True)
-    raise ValueError("classification needs 1 <= k <= n-1")
+    return _line_descent(space, f)
 
 
 def _try_reconstruct(space, f, reconstruct=_reconstruct):

@@ -285,11 +285,13 @@ def profile(subset, maximal_superset):
 
 
 def hypergraph_view(plane_set, system):
-    """Each member as the set of axis positions whose join it is."""
+    """Each member as the set of axis positions whose join it is: the
+    positions of the system lines among the member's points."""
     k = plane_set.gr.k
+    masks = plane_set.gr.space.point_masks(k)
     out = []
-    for s in plane_set.members():
-        axes = tuple(i for i, l in enumerate(system.lines) if s.contains(l))
+    for member in plane_set.indices:
+        axes = tuple(i for i, line in enumerate(system.line_indices) if masks[member] >> line & 1)
         if len(axes) != k:
             raise ValueError("plane set is not associated with the system")
         out.append(axes)

@@ -17,7 +17,11 @@ degree of inexactness decided from one covering search is compared with one
 `incidence(1, k)` built by spans are compared with vector enumeration; the
 `PlaneSet` operations on bitmasks are compared with the same operations on
 frozensets, and the covering search behind its C(n, k) size guard with the
-unguarded search.  The replaced implementations are kept here as reference
+unguarded search; the one descent of a table to the line Grassmannian is
+compared with the star-by-star walk and, at k = n-1, with the conjugation
+through a dot-form map that it replaced; and the axis views of
+`hypergraph_view` read off point masks with one `Subspace.contains` per
+member and line.  The replaced implementations are kept here as reference
 oracles.
 """
 
@@ -67,7 +71,7 @@ from qgrass.reconstruction import (
     ClassificationResult,
     NotDistancePreservingError,
     NotRegularTransformationError,
-    _chow_reconstruct,
+    _line_descent,
     chow_classify,
     distance_violation,
     ftpg_reconstruct,
@@ -84,6 +88,7 @@ from qgrass.regularity import (
     _systems_within,
     associated_systems,
     degree,
+    hypergraph_view,
     is_exact,
     maximal_regular_family,
 )
@@ -161,13 +166,77 @@ def pair_distance_violation(space, f):
     return full
 
 
+def star_image_map(space, f, j):
+    """Classify the images of the stars of G_j and build the induced map.
+
+    Returns ("star", map on G_{j-1}) when every star maps to a star, or
+    ("top", None) when every star maps to a top; a mixture violates the
+    star-image dichotomy and raises.
+    """
+    gj1 = space.grassmannian(j - 1)
+    star_of = space.plane_of_incidence(j, j - 1)
+    top_of = space.plane_of_incidence(j, j + 1)
+    kind = None
+    table = []
+    for row in space.incidence(j, j - 1):
+        img = frozenset(f.table[i] for i in row)
+        if img in star_of:
+            this = "star"
+            table.append(star_of[img])
+        elif img in top_of:
+            this = "top"
+        else:
+            raise RuntimeError("star image is neither a star nor a top")
+        if kind not in (None, this):
+            raise RuntimeError("star images are of mixed kinds")
+        kind = this
+    return ("top", None) if kind == "top" else ("star", GrassmannMap(gj1, gj1, table))
+
+
+def star_walk_reconstruct(space, f):
+    """The middle-dimension reconstruction that walked the table down one
+    dimension at a time through its star images, composing with the standard
+    symplectic form map first when the stars of G_k map to tops."""
+    k = f.domain.k
+    n = space.n
+    work = f
+    form = None
+    post = None
+    kind, down = star_image_map(space, work, k)
+    if kind == "top":
+        if n != 2 * k:
+            raise RuntimeError("top-valued star images can only occur when n = 2k")
+        form = standard_symplectic(space.field, n)
+        post = form_map(space, form, k)
+        work = post.compose(f)
+        kind, down = star_image_map(space, work, k)
+        if kind != "star":
+            raise RuntimeError("form composition did not straighten the star images")
+    level = k - 1
+    cur = down
+    while level > 1:
+        kind, cur = star_image_map(space, cur, level)
+        if kind != "star":
+            raise RuntimeError("descent left the star-to-star regime")
+        level -= 1
+    h = ftpg_reconstruct(space, cur)
+    candidate = induced_map(space, h, k)
+    if post is not None:
+        candidate = post.inverse().compose(candidate)
+    if candidate != f:
+        bad = next(i for i in range(len(f.table)) if f.table[i] != candidate.table[i])
+        return ClassificationResult("not_classifiable", witness=(f.domain[bad],))
+    kind_out = "linear" if form is None else "form_composed"
+    return ClassificationResult(kind_out, map=h, form=form, verified=True)
+
+
 def distance_first_classify(space, f):
     """The middle-dimension classifier that scanned every pair of planes
-    before it reconstructed."""
+    before it reconstructed star by star."""
     witness = pair_distance_violation(space, f)
     if witness is not None:
         raise NotDistancePreservingError(witness)
-    return _chow_reconstruct(space, f)
+    return star_walk_reconstruct(space, f)
 
 
 def echelon_systems_within(space, k, allowed, forced=None):
@@ -619,12 +688,13 @@ def sampled_tables(space, k, count, rng):
 
 
 # exhaustive where the group is small, seeded semilinear samples otherwise;
-# the (3,4,1) and (4,3,1) line spaces are those of `transform-classify`
+# the (3,4,1) and (4,3,1) line spaces are those of `transform-classify`, and
+# the hyperplane tables at q > 2 pin the scalar of the reconstructed matrix
 @pytest.mark.parametrize(
     "q,n,k,sample",
     [
         (2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None), (2, 4, 1, 300), (2, 4, 2, 300), (2, 4, 3, 300),
-        (3, 4, 1, 30), (4, 3, 1, 300),
+        (3, 4, 1, 30), (4, 3, 1, 300), (3, 3, 2, 60), (4, 3, 2, 60), (3, 4, 3, 20),
     ],
 )
 def test_certify_first_classifier_matches_scan_first(q, n, k, sample):
@@ -685,6 +755,31 @@ def test_certify_first_chow_matches_distance_first_on_seeded_corruptions(q, n, k
             for _ in range(corruptions):
                 got = compare_chow_classifiers(space, GrassmannMap(gk, gk, transposed(table, rng, length)))
                 assert got[0] is NotDistancePreservingError
+
+
+# per space a few sampled tables (every second one composed with a form map
+# at n = 2k), each with seeded transpositions and 3-cycles
+@pytest.mark.parametrize(
+    "q,n,k,count,corruptions",
+    [(2, 4, 2, 6, 40), (2, 5, 2, 2, 40), (3, 4, 2, 2, 40), (2, 5, 3, 2, 40), (2, 6, 3, 2, 8)],
+)
+def test_line_descent_matches_star_walk(q, n, k, count, corruptions):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"descent:{q}:{n}:{k}")
+    kinds = set()
+    for table in sampled_tables(space, k, count, rng):
+        f = GrassmannMap(gk, gk, table)
+        got = outcome(_line_descent, space, f)
+        assert got == outcome(star_walk_reconstruct, space, f)
+        assert got[3] is True
+        kinds.add(got[0])
+        for length in (2, 3):
+            for _ in range(corruptions):
+                bad = GrassmannMap(gk, gk, transposed(table, rng, length))
+                for reconstruct in (_line_descent, star_walk_reconstruct):
+                    assert outcome(reconstruct, space, bad)[3:4] != (True,)
+    assert kinds == ({"linear", "form_composed"} if n == 2 * k else {"linear"})
 
 
 def walk_regular_count(k):
@@ -1201,3 +1296,61 @@ def test_size_guard_runs_no_echelon_work(monkeypatch):
                 assert found == [] and calls == []
             else:
                 assert found and calls      # the counter sees a search that runs
+
+
+def contains_hypergraph_view(plane_set, system):
+    """Each member's axis positions, one `Subspace.contains` per member and
+    system line."""
+    k = plane_set.gr.k
+    out = []
+    for s in plane_set.members():
+        axes = tuple(i for i, l in enumerate(system.lines) if s.contains(l))
+        if len(axes) != k:
+            raise ValueError("plane set is not associated with the system")
+        out.append(axes)
+    return out
+
+
+def hypergraph_outcome(view, plane_set, system):
+    try:
+        return view(plane_set, system)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_same_hypergraph_views(plane_set, systems):
+    for system in systems:
+        got = hypergraph_outcome(hypergraph_view, plane_set, system)
+        assert got == hypergraph_outcome(contains_hypergraph_view, plane_set, system)
+
+
+def test_mask_hypergraph_view_matches_contains_on_subset_sweeps():
+    # the regular sets of the thm-2.2.x sweep, drawn per system so each set
+    # is viewed through its own system and through a seeded other one
+    space = Space.get(2, 4)
+    systems = regularity.all_coordinate_systems(space)
+    rng = random.Random("hypergraph:2:4:2")
+    associated = 0
+    for system in rng.sample(systems, 30):
+        for ps in _regular_subset_sweep(space, 2, 1, systems=[system]):
+            assert_same_hypergraph_views(ps, (system, rng.choice(systems)))
+            associated += 1
+    assert associated == 30 * 63
+    # the empty set is associated with every system; the complement of one
+    # system's planes with none
+    planes = systems[0].coordinate_planes(2)
+    assert_same_hypergraph_views(PlaneSet(planes.gr, []), systems[:3])
+    assert hypergraph_outcome(hypergraph_view, planes.complement(), systems[0])[0] is ValueError
+    assert_same_hypergraph_views(planes.complement(), systems[:3])
+
+
+def test_mask_hypergraph_view_matches_contains_on_seeded_sets_at_2_5_2():
+    space = Space.get(2, 5)
+    rng = random.Random("hypergraph:2:5:2")
+    for _ in range(40):
+        lines = [Subspace.span(space.field, 5, [r]) for r in random_invertible(space.field, 5, rng).rows]
+        system = CoordinateSystem(space, lines)
+        planes = system.coordinate_planes(2).indices
+        ps = PlaneSet(space.grassmannian(2), rng.sample(planes, rng.randint(1, len(planes))))
+        other = [Subspace.span(space.field, 5, [r]) for r in random_invertible(space.field, 5, rng).rows]
+        assert_same_hypergraph_views(ps, (system, CoordinateSystem(space, other)))

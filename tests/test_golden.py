@@ -3,11 +3,15 @@
 Each case runs `qgrass` on a committed map table or plane set in
 `tests/golden/` and compares stdout byte for byte with `<case>.stdout` and
 the exit code with `exit_codes.json`.  The map tables cover every classifier
-branch: a line table with a Frobenius twist at (4,3,1), the adjacency-based
-classifier on a linear and on a form-composed (2,4,2) table and on linear
-(2,5,2) and (3,5,2) tables, the conjugation at (2,4,3), and a corrupted
-(2,4,2) table.  The (3,5,2) output was recorded while the incidence and
-distance tables were still built by row reduction (15 s per call).  The
+branch: line tables with a Frobenius twist at (4,3,1) and, on the hyperplane
+side, at (4,3,2), the adjacency-based classifier on a linear and on a
+form-composed (2,4,2) table and on linear (2,5,2) and (3,5,2) tables, a
+linear hyperplane table at (2,4,3), a corrupted (2,4,2) table and a (2,4,3)
+table with one transposition, whose witness comes from the walk over
+hyperplane systems.  The (3,5,2) output was recorded while the incidence and
+distance tables were still built by row reduction (15 s per call), and both
+(4,3,2) and the transposed (2,4,3) outputs while hyperplane tables were
+still reconstructed by conjugation through a dot-form map.  The
 inputs are files rather than tables rebuilt by `induced_map`, so an error
 shared by the code that builds tables and the code that classifies them
 still shows.  Three (2,4,2) plane sets are analyzed in regular, irregular
@@ -44,6 +48,8 @@ CASES = {
     "classify-linear-2-5-2": ["classify", "--in", "linear-2-5-2.maptable"],
     "classify-linear-3-5-2": ["classify", "--in", "linear-3-5-2.maptable"],
     "classify-corrupted-2-4-2": ["classify", "--in", "corrupted-2-4-2.maptable"],
+    "classify-frobenius-4-3-2": ["classify", "--in", "frobenius-4-3-2.maptable"],
+    "classify-swapped-2-4-3": ["classify", "--in", "swapped-2-4-3.maptable"],
 }
 for name in ("regular", "meeting", "superset"):
     for mode in ("regular", "irregular", "degree"):

@@ -204,6 +204,42 @@ def test_verified_classification_skips_the_distance_scan(monkeypatch):
         calls.clear()
 
 
+def test_form_map_built_only_for_form_composed_tables(monkeypatch):
+    # the descent builds the symplectic form map once, and only when the
+    # planes through line 0 map onto the planes inside a hyperplane
+    calls = []
+    build = reconstruction.form_map
+
+    def counted(space, form, k):
+        calls.append(k)
+        return build(space, form, k)
+
+    rng = random.Random(123)
+    cases = []
+    for q, n, k in ((2, 4, 1), (2, 4, 3), (3, 4, 3), (2, 4, 2), (2, 5, 2), (2, 5, 3)):
+        space = Space.get(q, n)
+        cases.append((space, induced_map(space, random_semilinear(space, rng), k), 0))
+    space = Space.get(2, 4)
+    linear = cases[3][1]
+    table = list(linear.table)
+    table[0], table[1] = table[1], table[0]
+    corrupted = GrassmannMap(linear.domain, linear.codomain, table)
+    cases.append((space, corrupted, 0))
+    fm = form_map(space, standard_symplectic(space.field, 4), 2)
+    cases.append((space, fm.compose(linear), 1))
+    monkeypatch.setattr(reconstruction, "form_map", counted)
+    for space, f, builds in cases:
+        k = f.domain.k
+        classify = chow_classify if 1 < k < space.n - 1 else regular_classify
+        try:
+            verified = classify(space, f).verified
+        except NotDistancePreservingError:
+            verified = False
+        assert verified == (f is not corrupted)
+        assert calls == [k] * builds, (space.field.q, space.n, k)
+        calls.clear()
+
+
 def test_regular_transformation_examples():
     rng = random.Random(44)
     space = Space.get(2, 4)
