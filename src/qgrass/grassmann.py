@@ -414,28 +414,27 @@ class Space:
 
 
 class PlaneSet:
-    """A sorted, duplicate-free set of members of one Grassmannian, held both
-    as the ascending tuple of their indices and as a bitmask with bit i set
-    for each member i; set operations are integer operations on the masks."""
+    """A set of members of one Grassmannian, held as a bitmask with bit i set
+    for each member i; set operations are integer operations on the masks,
+    and the ascending member indices are read off the mask when asked for."""
 
-    __slots__ = ("gr", "indices", "mask")
+    __slots__ = ("gr", "mask")
 
     def __init__(self, gr, indices):
-        indices = tuple(sorted(set(indices)))
+        indices = set(indices)
         # checked before any shift: a negative count raises, a large one widens the mask
-        if indices and not (0 <= indices[0] and indices[-1] < len(gr)):
+        if indices and not (0 <= min(indices) and max(indices) < len(gr)):
             raise ValueError("plane index out of range")
         mask = 0
         for i in indices:
             mask |= 1 << i
-        self.gr, self.indices, self.mask = gr, indices, mask
+        self.gr, self.mask = gr, mask
 
     @classmethod
     def _from_mask(cls, gr, mask):
         """The set whose members are the set bits of a mask below 1 << len(gr)."""
         ps = cls.__new__(cls)
-        bits = bin(mask)[:1:-1].encode().translate(_BITS)
-        ps.gr, ps.indices, ps.mask = gr, tuple(compress(range(len(bits)), bits)), mask
+        ps.gr, ps.mask = gr, mask
         return ps
 
     @classmethod
@@ -443,8 +442,14 @@ class PlaneSet:
         return cls(gr, (gr.index(s) for s in subspaces))
 
     @property
+    def indices(self):
+        """The members as an ascending tuple, built on each read."""
+        bits = bin(self.mask)[:1:-1].encode().translate(_BITS)
+        return tuple(compress(range(len(bits)), bits))
+
+    @property
     def iset(self):
-        """The members as a frozenset, built on each call."""
+        """The members as a frozenset, built on each read."""
         return frozenset(self.indices)
 
     def members(self):
@@ -489,7 +494,7 @@ class PlaneSet:
         return isinstance(i, int) and i >= 0 and self.mask >> i & 1 == 1
 
     def __len__(self):
-        return len(self.indices)
+        return self.mask.bit_count()
 
     def __iter__(self):
         return iter(self.indices)
@@ -507,7 +512,7 @@ class PlaneSet:
         return hash((self.gr.field.q, self.gr.n, self.gr.k, self.mask))
 
     def __repr__(self):
-        return f"PlaneSet({self.gr!r}, {len(self.indices)} members)"
+        return f"PlaneSet({self.gr!r}, {len(self)} members)"
 
 
 class GrassmannMap:

@@ -8,7 +8,6 @@ strings below describe what each check establishes, self-contained.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -63,28 +62,6 @@ from .regularity import (
 
 class InfeasibleScopeError(ValueError):
     """Requested parameters are outside the check's documented envelope."""
-
-
-def worker_count():
-    """QGRASS_WORKERS controls the pool size for independent per-instance
-    scans, at most one worker per CPU; anything unparseable falls back to 1."""
-    try:
-        wanted = int(os.environ.get("QGRASS_WORKERS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
-
-
-def _pmap(fn, items):
-    """Order-preserving map, parallel when QGRASS_WORKERS > 1, so results
-    are identical regardless of schedule."""
-    workers = worker_count()
-    if workers <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items)
 
 
 @dataclass
@@ -208,8 +185,9 @@ def _regular_subset_sweep(space, k, min_size, systems=None):
     seen = set()
     for system in all_coordinate_systems(space) if systems is None else systems:
         planes = system.coordinate_planes(k)
-        for size in range(min_size, len(planes) + 1):
-            for subset in combinations(planes.indices, size):
+        members = planes.indices
+        for size in range(min_size, len(members) + 1):
+            for subset in combinations(members, size):
                 if subset not in seen:
                     seen.add(subset)
                     yield PlaneSet(planes.gr, subset)
@@ -320,17 +298,17 @@ def check_prop_1_4_2(q, n, k, rng):
     want_tops = len(space.grassmannian(k + 1))
     d = space.distance_matrix(k)
     for fam, kind, center in fams:
-        inside = set(fam.indices)
+        members = fam.indices
         for outside in range(len(space.grassmannian(k))):
-            if outside in inside:
+            if outside in fam:
                 continue
-            if all(d[outside][i] == 1 for i in fam.indices):
+            if all(d[outside][i] == 1 for i in members):
                 return CheckResult(
                     "prop-1.4.2",
                     False,
                     f"all maximal adjacent families of G_{k}^{n}(GF({q}))",
                     {},
-                    {"family": list(fam.indices), "extendable_by": outside},
+                    {"family": list(members), "extendable_by": outside},
                 )
     ok = stars == want_stars and tops == want_tops
     return CheckResult(
@@ -455,10 +433,8 @@ def check_thm_2_2_2(q, n, k, rng):
     )
 
 
-def _meeting_status_item(args):
-    q, n, k, m, idx = args
-    space = Space.get(q, n)
-    s = space.grassmannian(m)[idx]
+def _meeting_status_failures(space, k, s):
+    n, m = space.n, s.k
     full = len(space.grassmannian(k))
     x = planes_meeting(space, s, k)
     y = planes_cohyperplanar(space, s, k)
@@ -475,7 +451,7 @@ def _meeting_status_item(args):
         fails.append("sets must coincide at complementary dimension")
     if m <= n - k and is_maximal_irregular(x) != (m == n - k):
         fails.append("meeting set maximal exactly at complementary dimension")
-    return (m, idx, fails)
+    return fails
 
 
 def check_prop_3_1_3(q, n, k, rng):
@@ -484,25 +460,22 @@ def check_prop_3_1_3(q, n, k, rng):
     _require(1 < k < n - 1, "1 < k < n-1")
     space = Space.get(q, n)
     _require(gaussian_binomial(n, k, q) <= 200, "|G_k| <= 200")
-    items = [
-        (q, n, k, m, i)
-        for m in range(1, n)
-        for i in range(len(space.grassmannian(m)))
-    ]
-    for m, idx, fails in _pmap(_meeting_status_item, items):
+    subspaces = [s for m in range(1, n) for s in space.grassmannian(m)]
+    for s in subspaces:
+        fails = _meeting_status_failures(space, k, s)
         if fails:
             return CheckResult(
                 "prop-3.1.3",
                 False,
                 f"all subspaces of GF({q})^{n}",
-                {"checked": len(items)},
-                {"s": _subspace_cert(space.grassmannian(m)[idx]), "failures": fails},
+                {"checked": len(subspaces)},
+                {"s": _subspace_cert(s), "failures": fails},
             )
     return CheckResult(
         "prop-3.1.3",
         True,
-        f"all {len(items)} nonzero proper subspaces of GF({q})^{n}, k = {k}",
-        {"checked": len(items)},
+        f"all {len(subspaces)} nonzero proper subspaces of GF({q})^{n}, k = {k}",
+        {"checked": len(subspaces)},
     )
 
 

@@ -135,7 +135,7 @@ def planes_cohyperplanar(space, s, k):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Characteristics:
     """Saturated lines and hyperplanes of a plane set with their span/core."""
 
@@ -344,7 +344,7 @@ def restricted_status(plane_set, t):
     return STATUS_IRREGULAR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Similarity:
     kind: str                       # yes | no | inconclusive
     witness: GrassmannMap | None

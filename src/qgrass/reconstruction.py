@@ -40,7 +40,7 @@ class NotRegularTransformationError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationResult:
     """Outcome of a classifier.
 

@@ -266,10 +266,11 @@ def profile(subset, maximal_superset):
         raise NotRegularError("profile needs a maximal regular superset")
     system = associated_systems(maximal_superset, limit=1)[0]
     gr = subset.gr
+    members = subset.indices
     records = []
     n_exact = 0
     for axis in system.lines:
-        through = [i for i in subset.indices if gr[i].contains(axis)]
+        through = [i for i in members if gr[i].contains(axis)]
         planes = PlaneSet(gr, through)
         if through:
             core = gr[through[0]]
@@ -313,6 +314,8 @@ def _systems_within(space, k, ok, forced=None):
     out those with fewer candidates after them than free slots.  The node
     that picks the last but one line yields the systems itself: each
     candidate for the last slot completes one, with no span or narrowing.
+    An unforced search at k = 2 starts from `_viable_lines` instead of every
+    line.
     """
     nlines = len(space.grassmannian(1))
     n = space.n
@@ -370,13 +373,44 @@ def _systems_within(space, k, ok, forced=None):
 
     start = ok[0] if k == 1 else -1     # -1: every line
     if forced is None:
-        tails = tail_masks(range(nlines))
+        if k == 2:
+            start = _viable_lines(space, ok)
+        # fewer than n candidates leave every tail empty: no search is run
+        tails = tail_masks([t for t in range(nlines) if start >> t & 1])
         # returned, not delegated to: one generator level less on every yield
         return extend((), 0, (), start, -1)
     lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
     inside = set(lines_in)
     tails = tail_masks([t for t in range(nlines) if t not in inside])
     return through_forced()
+
+
+def _viable_lines(space, ok):
+    """The lines that can lie on a system inside the set with join masks `ok`
+    at k = 2, as a bitmask: the pool of all lines shrunk to a fixpoint, where
+    a line t stays only while its pooled joins `ok[t] & pool` span F^n, that
+    is lie in no hyperplane (arc consistency, Mackworth 1977).
+
+    Sound: every other line of a system inside the set joins t to a plane of
+    the set, so it lies in `ok[t]` and, by induction, in the pool, and with t
+    those lines span F^n.  A system's lines are never dropped, so the search
+    on the pool yields the same systems in the same order.
+    """
+    n = space.n
+    hyperplanes = space.point_masks(n - 1)
+    pool = (1 << len(ok)) - 1
+    changed = True
+    while changed:
+        changed = False
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            joins = ok[low.bit_length() - 1] & pool
+            if joins.bit_count() < n or any(joins & ~h == 0 for h in hyperplanes):
+                pool ^= low
+                changed = True
+    return pool
 
 
 def all_coordinate_systems(space):

@@ -21,15 +21,16 @@ unguarded search; the one descent of a table to the line Grassmannian is
 compared with the star-by-star walk and, at k = n-1, with the conjugation
 through a dot-form map that it replaced; and the axis views of
 `hypergraph_view` read off point masks with one `Subspace.contains` per
-member and line.  The replaced implementations are kept here as reference
-oracles.
+member and line; and the k = 2 search on the viable lines with the same
+search over every line.  The replaced implementations are kept here as
+reference oracles.
 """
 
 import functools
 import importlib.util
 import random
 from bisect import bisect_left
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 from math import comb, factorial, prod
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from qgrass.irregularity import (
     Similarity,
     _fingerprint,
     _invertible_matrices,
+    _join_masks,
     _matrices_mapping,
     are_similar,
     characteristics,
@@ -302,6 +304,14 @@ def echelon_system_indices(space):
 def every_system(space):
     """The engine's unconstrained walk: k = 1 with every line allowed."""
     return _systems_within(space, 1, [-1])
+
+
+def unpruned_systems_within(space, k, ok):
+    """`_systems_within` with every line a candidate: the unforced search as
+    it ran before `_viable_lines` pruned its lines at k = 2."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_viable_lines", lambda space, ok: -1)
+        return _systems_within(space, k, ok)
 
 
 def echelon_complete(plane_set):
@@ -628,11 +638,15 @@ def unguarded_covering_system_indices(space, plane_set):
 
 
 def assert_plane_set_is(ps, members):
-    """A PlaneSet agrees with the frozenset of its members in every view."""
-    assert ps.indices == tuple(sorted(members))
-    assert list(ps) == sorted(members) and len(ps) == len(members)
-    assert ps.iset == members
-    assert ps.mask == sum(1 << i for i in members)
+    """A PlaneSet agrees with the frozenset of its members in every view, as
+    does the set `_from_mask` builds from the members' mask."""
+    mask = sum(1 << i for i in members)
+    for view in (ps, PlaneSet._from_mask(ps.gr, mask)):
+        assert view.indices == tuple(sorted(members))
+        assert list(view) == sorted(members) and len(view) == len(members)
+        assert view.iset == members
+        assert view.mask == mask
+        assert repr(view) == f"PlaneSet({ps.gr!r}, {len(members)} members)"
     rebuilt = PlaneSet(ps.gr, members)
     assert ps == rebuilt and hash(ps) == hash(rebuilt)
 
@@ -1354,3 +1368,44 @@ def test_mask_hypergraph_view_matches_contains_on_seeded_sets_at_2_5_2():
         ps = PlaneSet(space.grassmannian(2), rng.sample(planes, rng.randint(1, len(planes))))
         other = [Subspace.span(space.field, 5, [r]) for r in random_invertible(space.field, 5, rng).rows]
         assert_same_hypergraph_views(ps, (system, CoordinateSystem(space, other)))
+
+
+def assert_same_systems_within(plane_set):
+    """The pruned and the unpruned search yield the same systems in the same
+    order; returns how many."""
+    space, k, ok = plane_set.gr.space, plane_set.gr.k, _join_masks(plane_set)
+    count = 0
+    # streamed: a dense (2,5,2) set holds tens of thousands of systems
+    for got, want in zip_longest(_systems_within(space, k, ok), unpruned_systems_within(space, k, ok)):
+        assert got == want
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (3, 4)])
+def test_viable_line_search_matches_unpruned_on_size_bands(q, n):
+    space = Space.get(q, n)
+    gk = space.grassmannian(2)
+    rng = random.Random(f"viable-lines:{q}:{n}")
+    counts = []
+    for band in range(10):
+        low, high = band * len(gk) // 10, (band + 1) * len(gk) // 10
+        for _ in range(12):
+            ps = PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(low, high)))
+            counts.append(assert_same_systems_within(ps))
+    # sparse bands contain no system and dense ones many
+    assert 0 in counts and any(counts)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 5)])
+def test_viable_line_search_matches_unpruned_on_constructions(q, n):
+    # the irregular-decide kinds: meeting, cohyperplanar and deficient sets,
+    # their linear images and completions, and their complements
+    space = Space.get(q, n)
+    rng = random.Random(f"viable-constructions:{q}:{n}")
+    sets = irregular_sets(space, 2, rng)
+    for ps in list(sets):
+        image = induced_map(space, random_semilinear(space, rng), 2).apply_set(ps)
+        sets += [image, complete_to_maximal_irregular(ps), ps.complement()]
+    counts = [assert_same_systems_within(ps) for ps in sets]
+    assert 0 in counts and any(counts)

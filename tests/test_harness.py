@@ -1,8 +1,6 @@
-import os
-
 import pytest
 
-from qgrass.harness import CHECKS, InfeasibleScopeError, run_check, worker_count
+from qgrass.harness import CHECKS, InfeasibleScopeError, run_check
 
 
 def test_every_check_id_has_metadata():
@@ -25,24 +23,6 @@ def test_seeded_checks_deterministic():
     a = run_check("prop-3.2.1", 2, 4, 2, seed=5)
     b = run_check("prop-3.2.1", 2, 4, 2, seed=5)
     assert (a.passed, a.scope, a.details) == (b.passed, b.scope, b.details)
-
-
-def test_worker_pool_parity(monkeypatch):
-    base = run_check("prop-3.1.3", 2, 4, 2)
-    monkeypatch.setenv("QGRASS_WORKERS", "3")
-    assert worker_count() == min(3, os.cpu_count() or 1)
-    parallel = run_check("prop-3.1.3", 2, 4, 2)
-    assert (parallel.passed, parallel.details) == (base.passed, base.details)
-    monkeypatch.setenv("QGRASS_WORKERS", "junk")
-    assert worker_count() == 1
-
-
-def test_worker_count_bounded_by_cpu_count(monkeypatch):
-    # the value only sizes a pool; none is started here
-    monkeypatch.setenv("QGRASS_WORKERS", "100000")
-    assert worker_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("QGRASS_WORKERS", "0")
-    assert worker_count() == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -456,3 +456,21 @@ def test_span_constrained_similarity_search_at_n5():
     sim = are_similar(x1, x2)
     assert sim.kind == "yes"
     assert sim.witness.apply_set(x1) == x2
+
+
+def test_meeting_set_search_runs_no_span(monkeypatch):
+    # no system lies inside the meeting set of a 3-space at (2,5,2), and the
+    # viable-line pruning proves it before the search spans a single line
+    space = Space.get(2, 5)
+    ps = planes_meeting(space, space.grassmannian(3)[0], 2)
+    assert contains_maximal_regular(ps) is None      # warm: the tables are built with spans
+    calls = []
+    span_with = Space.span_with
+
+    def counted(self, mask, points, t):
+        calls.append(t)
+        return span_with(self, mask, points, t)
+
+    monkeypatch.setattr(Space, "span_with", counted)
+    assert contains_maximal_regular(ps) is None
+    assert len(calls) == 0
