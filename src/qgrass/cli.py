@@ -1,7 +1,7 @@
 """Command-line front end: enumeration, plane-set analysis, transformation
 classification, and the named verification checks, over flat text files.
 
-File formats (LF line endings, no trailing whitespace):
+File formats (UTF-8 text, LF line endings, no trailing whitespace):
 
   plane-set file    header "planeset q n k count", then `count` blocks of
                     k lines of n space-separated element codes, blocks
@@ -222,7 +222,7 @@ def cmd_enumerate(args):
 
 def cmd_analyze(args):
     t0 = time.time()
-    with open(args.infile) as fp:
+    with open(args.infile, encoding="utf-8") as fp:
         ps = read_plane_set(fp)
     n, k = ps.gr.n, ps.gr.k
     low, gap = MODE_K[args.mode]
@@ -278,7 +278,7 @@ def cmd_analyze(args):
 
 def cmd_classify(args):
     t0 = time.time()
-    with open(args.infile) as fp:
+    with open(args.infile, encoding="utf-8") as fp:
         gmap = read_map_table(fp)
     space = gmap.domain.space
     n, k = space.n, gmap.domain.k
@@ -411,7 +411,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse-error {exc}", file=sys.stderr)
         return 2
     except (UnsupportedOrderError, TooLargeError, UsageError, OSError) as exc:

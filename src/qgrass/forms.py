@@ -6,10 +6,9 @@ hyperbolic basis for symplectic forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .linalg import Mat, SingularMatrixError
-from .grassmann import GrassmannMap, PlaneSet, Subspace
+from .grassmann import GrassmannMap, PlaneSet, Subspace, _Record
 
 # Above this many vectors the definitional pairwise reflexivity scan is
 # replaced by the subspace double-complement criterion.
@@ -138,8 +137,7 @@ def is_reflexive(form):
     return True
 
 
-@dataclass(frozen=True)
-class FormPredicates:
+class FormPredicates(_Record):
     nonsingular: bool
     reflexive: bool
     symmetric: bool
@@ -177,8 +175,7 @@ def form_predicates(form):
     )
 
 
-@dataclass(frozen=True)
-class ReflexiveClass:
+class ReflexiveClass(_Record):
     kind: str  # symmetric | skew_symmetric | scaled_hermitian | not_reflexive
     scalar: int | None = None
 
@@ -253,8 +250,7 @@ def form_map(space, form, k):
     return GrassmannMap(gk, gnk, (gnk.index(orth_complement(form, s)) for s in gk))
 
 
-@dataclass(frozen=True)
-class SymplecticBasis:
+class SymplecticBasis(_Record):
     """A hyperbolic basis x_1..x_k, y_1..y_k with Om(x_i, y_i) = 1 and all
     other basis pairings zero."""
 

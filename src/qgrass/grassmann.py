@@ -24,6 +24,58 @@ class TooLargeError(ValueError):
     """Enumeration request beyond the supported desk scale."""
 
 
+class _RecordType(type):
+    """Makes a record class's annotated fields its `__slots__`, in order, and
+    moves their class-level defaults into `_defaults`."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["__slots__"] = fields
+        return super().__new__(mcls, name, bases, ns)
+
+
+class _Record(metaclass=_RecordType):
+    """Base of the immutable result records: a frozen dataclass's contract
+    without the start-up cost of importing the standard dataclass module.  A
+    callable default is called once per instance."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{type(self).__name__}() got an extra, unknown or repeated field; it takes {fields}")
+        kwargs.update(zip(fields, args))
+        for name in fields:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs[name])
+            elif name in self._defaults:
+                default = self._defaults[name]
+                object.__setattr__(self, name, default() if callable(default) else default)
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:

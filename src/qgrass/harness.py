@@ -9,7 +9,6 @@ strings below describe what each check establishes, self-contained.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
@@ -28,6 +27,7 @@ from .grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    _Record,
     _subspace_cert,
     gaussian_binomial,
     maximal_adjacent_families,
@@ -64,12 +64,11 @@ class InfeasibleScopeError(ValueError):
     """Requested parameters are outside the check's documented envelope."""
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Record):
     check_id: str
     passed: bool
     scope: str
-    details: dict = dc_field(default_factory=dict)
+    details: dict = dict            # called: a new dict per record
     counterexample: dict | None = None
 
 

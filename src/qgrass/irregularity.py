@@ -6,7 +6,6 @@ inside a sub-Grassmannian, and similarity testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from operator import and_
@@ -17,6 +16,7 @@ from .grassmann import (
     PlaneSet,
     Space,
     Subspace,
+    _Record,
     _extension_rows,
     gaussian_binomial,
     incidence_set,
@@ -135,8 +135,7 @@ def planes_cohyperplanar(space, s, k):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Characteristics:
+class Characteristics(_Record):
     """Saturated lines and hyperplanes of a plane set with their span/core."""
 
     saturated_lines: PlaneSet        # lines t with G_k(t) inside the set
@@ -186,8 +185,7 @@ def characteristics(plane_set):
     )
 
 
-@dataclass(frozen=True)
-class DeficientConstruction:
+class DeficientConstruction(_Record):
     """A maximal irregular set whose line-span characteristic falls one short
     of the possible maximum, together with the pieces it was built from."""
 
@@ -262,8 +260,7 @@ def deficient_irregular(space, s, t):
     return DeficientConstruction(result, stage, s, t, t2, l, p, p2)
 
 
-@dataclass(frozen=True)
-class DeficientDualConstruction:
+class DeficientDualConstruction(_Record):
     """Dual construction: hyperplane-core characteristic n - k + 1."""
 
     result: PlaneSet
@@ -344,8 +341,7 @@ def restricted_status(plane_set, t):
     return STATUS_IRREGULAR
 
 
-@dataclass(frozen=True, slots=True)
-class Similarity:
+class Similarity(_Record):
     kind: str                       # yes | no | inconclusive
     witness: GrassmannMap | None
     reason: str

@@ -6,12 +6,12 @@ classifier, and the regular-transformation classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_, itemgetter
 
 from .forms import standard_symplectic, form_map
+from .grassmann import _Record
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map, induces
 from .regularity import _independent, _systems_within, maximal_regular_family
@@ -40,8 +40,7 @@ class NotRegularTransformationError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationResult:
+class ClassificationResult(_Record):
     """Outcome of a classifier.
 
     kind "linear" means the table is induced by `map`; "form_composed" means

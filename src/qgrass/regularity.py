@@ -10,11 +10,10 @@ when some system has every member among its coordinate k-planes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .grassmann import PlaneSet, Subspace, incidence_set, join, meet
+from .grassmann import PlaneSet, Subspace, _Record, incidence_set, join, meet
 from .linalg import EchelonBasis
 
 
@@ -240,16 +239,14 @@ def restrict(plane_set, s):
     return plane_set.intersection(incidence_set(space, s, plane_set.gr.k))
 
 
-@dataclass(frozen=True)
-class AxisRecord:
+class AxisRecord(_Record):
     axis: Subspace           # the coordinate line l_i
     planes: PlaneSet         # members of the subset through l_i
     core: Subspace | None    # intersection of those members
     core_dim: int            # dim core, or 0 when no member passes through l_i
 
 
-@dataclass(frozen=True)
-class AxisProfile:
+class AxisProfile(_Record):
     system: CoordinateSystem
     records: tuple
     exact_axis_count: int    # number of axes whose core is the axis itself

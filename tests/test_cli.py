@@ -282,6 +282,8 @@ def identity_table(q, n, k, planes):
         pytest.param(["analyze", "--in", "{f}", "--mode", "regular"],
                      {"f": "planeset 3 5 2 1\n\n1 0 0 0 0\n0 1 0 0 0\n"}, 2, id="regular-of-a-plane-3-5"),
         pytest.param(["classify", "--in", "{f}"], {"f": "maptable 16 6 3 3\n"}, 2, id="maptable-huge"),
+        pytest.param(["analyze", "--in", "{f}"], {"f": b"planeset 2 4 2 1\n\xff\n"}, 2, id="planeset-not-utf8"),
+        pytest.param(["classify", "--in", "{f}"], {"f": b"maptable 2 4 2 2\n\xff\n"}, 2, id="maptable-not-utf8"),
         pytest.param(["classify", "--in", "{f}"], {"f": identity_table(3, 5, 2, 1210)}, 0,
                      id="classify-inside-envelope"),
         pytest.param(["classify", "--in", "{f}"], {"f": identity_table(4, 5, 2, 5797)}, 2,
@@ -296,6 +298,8 @@ def test_exit_codes_on_bad_and_degenerate_inputs(tmp_path, capsys, argv, files, 
         path = tmp_path / name
         if text is None:
             path.mkdir()
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
         else:
             path.write_text(text)
         names[name] = str(path)
@@ -315,9 +319,19 @@ def run_child(args, timeout=60, cwd=None):
                           timeout=timeout, cwd=cwd)
 
 
-def test_cli_import_leaves_harness_unloaded():
-    # analyze and classify need no harness; only verify and checks load it
-    out = run_child(["-c", "import sys, qgrass.cli; print('qgrass.harness' in sys.modules)"])
+@pytest.mark.parametrize(
+    "module,unloaded",
+    [
+        # analyze and classify need no harness; only verify and checks load it
+        ("qgrass.cli", "qgrass.harness"),
+        # the result records are built without dataclasses, whose import costs every process
+        ("qgrass", "dataclasses"),
+        ("qgrass.cli", "dataclasses"),
+        ("qgrass.harness", "dataclasses"),
+    ],
+)
+def test_cli_import_leaves_harness_unloaded(module, unloaded):
+    out = run_child(["-c", f"import sys, {module}; print({unloaded!r} in sys.modules)"])
     assert out.stdout == "False\n"
 
 

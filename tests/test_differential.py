@@ -22,13 +22,18 @@ compared with the star-by-star walk and, at k = n-1, with the conjugation
 through a dot-form map that it replaced; and the axis views of
 `hypergraph_view` read off point masks with one `Subspace.contains` per
 member and line; and the k = 2 search on the viable lines with the same
-search over every line.  The replaced implementations are kept here as
-reference oracles.
+search over every line; and the result records, built on one slotted base,
+with frozen dataclasses of the same fields.  The replaced implementations are
+kept here as reference oracles.
 """
 
+import copy
+import dataclasses
 import functools
 import importlib.util
+import pickle
 import random
+import sys
 from bisect import bisect_left
 from itertools import combinations, permutations, product, zip_longest
 from math import comb, factorial, prod
@@ -36,20 +41,31 @@ from pathlib import Path
 
 import pytest
 
-from qgrass.forms import BilinearForm, dot_form, form_map, standard_symplectic
+from qgrass.forms import (
+    BilinearForm,
+    FormPredicates,
+    ReflexiveClass,
+    SymplecticBasis,
+    dot_form,
+    form_map,
+    standard_symplectic,
+)
 from qgrass.grassmann import (
     GrassmannMap,
     PlaneSet,
     Space,
     Subspace,
+    _Record,
     distance,
     gaussian_binomial,
     join,
     meet,
 )
-from qgrass.harness import _regular_subset_sweep, random_invertible, random_semilinear
+from qgrass.harness import CheckResult, _regular_subset_sweep, random_invertible, random_semilinear
 from qgrass.irregularity import (
     Characteristics,
+    DeficientConstruction,
+    DeficientDualConstruction,
     Similarity,
     _fingerprint,
     _invertible_matrices,
@@ -84,6 +100,8 @@ from qgrass.reconstruction import (
 )
 from qgrass import irregularity, regularity
 from qgrass.regularity import (
+    AxisProfile,
+    AxisRecord,
     CoordinateSystem,
     NotRegularError,
     _covering_system_indices,
@@ -1409,3 +1427,103 @@ def test_viable_line_search_matches_unpruned_on_constructions(q, n):
         sets += [image, complete_to_maximal_irregular(ps), ps.complement()]
     counts = [assert_same_systems_within(ps) for ps in sets]
     assert 0 in counts and any(counts)
+
+
+# ---------------------------------------------------------------------------
+# result records against frozen dataclasses built from the same fields
+
+RECORD_FIELDS = {
+    FormPredicates: "nonsingular reflexive symmetric skew_symmetric symplectic hermitian skew_hermitian",
+    ReflexiveClass: "kind scalar",
+    SymplecticBasis: "x y",
+    AxisRecord: "axis planes core core_dim",
+    AxisProfile: "system records exact_axis_count",
+    Characteristics: "saturated_lines line_span line_span_dim saturated_hyperplanes hyperplane_core "
+                     "hyperplane_core_dim",
+    DeficientConstruction: "result stage base carrier carrier_companion hinge pencil_line companion_line",
+    DeficientDualConstruction: "result base carrier inner",
+    Similarity: "kind witness reason",
+    ClassificationResult: "kind map form verified witness",
+    CheckResult: "check_id passed scope details counterexample",
+}
+
+
+def dataclass_oracle(name, cls, slots=False):
+    """A frozen dataclass with the record's field names and defaults; a
+    callable default becomes a default factory."""
+    specs = []
+    for f in cls.__slots__:
+        if f not in cls._defaults:
+            specs.append(f)
+            continue
+        default = cls._defaults[f]
+        spec = dataclasses.field(default_factory=default) if callable(default) else dataclasses.field(default=default)
+        specs.append((f, object, spec))
+    return dataclasses.make_dataclass(name, specs, frozen=True, slots=slots)
+
+
+def assert_same_outcome(make, make_oracle):
+    """Both raise the same exception type, or both build records with the same repr."""
+    outcomes = []
+    for build in (make, make_oracle):
+        try:
+            outcomes.append(repr(build()))
+        except (TypeError, AttributeError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+def test_records_keep_the_frozen_dataclass_contract(cls):
+    fields = cls.__slots__
+    assert fields == tuple(RECORD_FIELDS[cls].split())
+    oracle = dataclass_oracle(cls.__name__, cls)
+    twin = type(cls.__name__, (_Record,), {"__annotations__": dict.fromkeys(fields, "object"),
+                                           **cls._defaults})
+    twin_oracle = dataclass_oracle(cls.__name__, cls)
+    values = [("v", i) for i in range(len(fields))]
+    other = [("w", i) for i in range(len(fields))]
+    rec, orec = cls(*values), oracle(*values)
+    assert repr(rec) == repr(orec)
+    # equality only within one class, hashes over the fields
+    for a, b, oa, ob in [
+        (rec, cls(*values), orec, oracle(*values)),
+        (rec, cls(*other), orec, oracle(*other)),
+        (rec, twin(*values), orec, twin_oracle(*values)),
+        (rec, tuple(values), orec, tuple(values)),
+    ]:
+        assert (a == b, a != b, b == a) == (oa == ob, oa != ob, ob == oa)
+    assert hash(rec) == hash(cls(*values)) == hash(tuple(values))
+    assert hash(orec) == hash(tuple(values))
+    # construction by position, keyword and default, and the refusals
+    required = [f for f in fields if f not in cls._defaults]
+    kw = dict(zip(fields, values))
+    cases = [
+        ((), kw),
+        (values[:1], {f: kw[f] for f in fields[1:]}),
+        ((), {f: kw[f] for f in required}),
+        (values[:len(required)], {}),
+        ((), {f: kw[f] for f in fields[1:]}),            # first field missing
+        (values, {"unknown": 0}),
+        (values[:1], {fields[0]: values[0]}),          # repeated
+        (values + [0], {}),                            # one too many
+    ]
+    for args, kwargs in cases:
+        assert_same_outcome(lambda: cls(*args, **kwargs), lambda: oracle(*args, **kwargs))
+    # frozen and slotted
+    for record in (rec, orec):
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], 1)
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+    assert not hasattr(rec, "__dict__")
+    assert sys.getsizeof(rec) == sys.getsizeof(dataclass_oracle(cls.__name__, cls, slots=True)(*values))
+    # pickling and copies rebuild an equal record of the same class
+    for copied in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(copied) is cls and copied == rec and repr(copied) == repr(rec)
+
+
+def test_check_results_hold_distinct_default_details():
+    a, b = CheckResult("id", True, "scope"), CheckResult("id", True, "scope")
+    assert a.details == b.details == {} and a.details is not b.details
+    assert copy.deepcopy(CheckResult("id", True, "scope", {"n": [1]})).details == {"n": [1]}
