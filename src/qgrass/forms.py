@@ -250,6 +250,19 @@ def form_map(space, form, k):
     return GrassmannMap(gk, gnk, (gnk.index(orth_complement(form, s)) for s in gk))
 
 
+def _symplectic_map(space):
+    """The standard symplectic form map of G_k at n = 2k, built once per space.
+
+    The form is alternating, so the map is an involution: it is its own
+    inverse.  `form_map` itself keeps no cache, since its callers pass
+    arbitrary forms."""
+    fmap = space._symplectic
+    if fmap is None:
+        form = standard_symplectic(space.field, space.n)
+        fmap = space._symplectic = form_map(space, form, space.n // 2)
+    return fmap
+
+
 class SymplecticBasis(_Record):
     """A hyperbolic basis x_1..x_k, y_1..y_k with Om(x_i, y_i) = 1 and all
     other basis pairings zero."""

@@ -308,6 +308,7 @@ class Space:
         self._masks = {}
         self._mask_index = {}
         self._systems = None
+        self._symplectic = None
 
     @classmethod
     def get(cls, q, n):

@@ -10,7 +10,7 @@ from functools import reduce
 from itertools import combinations, product
 from operator import and_
 
-from .forms import dot_form, form_map, orth_complement, standard_symplectic
+from .forms import _symplectic_map, dot_form, form_map, orth_complement
 from .grassmann import (
     GrassmannMap,
     PlaneSet,
@@ -57,10 +57,19 @@ def _first_system(plane_set, ok, forced=None):
     return None if idxs is None else CoordinateSystem.from_line_indices(space, idxs)
 
 
-def _outside_planes_complete(plane_set, ok):
-    """Every plane outside the set completes some inside subset to a
-    maximal regular set."""
-    return all(_first_system(plane_set, ok, l) is not None for l in plane_set.complement())
+def _completing_planes(plane_set, ok):
+    """The planes the greedy completion adds, in canonical order: each outside
+    plane that no coordinate system realizes together with the planes present,
+    ORed into the join masks `ok` as it is yielded.  None is yielded exactly
+    when every outside plane completes some inside subset."""
+    space, k = plane_set.gr.space, plane_set.gr.k
+    masks = space.point_masks(k)
+    faces = space.incidence(k - 1, k)
+    for l in plane_set.complement():
+        if next(_systems_within(space, k, ok, l), None) is None:
+            for w in faces[l]:
+                ok[w] |= masks[l]
+            yield l
 
 
 def contains_maximal_regular(plane_set):
@@ -85,7 +94,7 @@ def is_maximal_irregular(plane_set):
     if is_regular(plane_set) is not None:
         return False
     ok = _join_masks(plane_set)
-    return _first_system(plane_set, ok) is None and _outside_planes_complete(plane_set, ok)
+    return _first_system(plane_set, ok) is None and next(_completing_planes(plane_set, ok), None) is None
 
 
 def complete_to_maximal_irregular(plane_set):
@@ -97,16 +106,8 @@ def complete_to_maximal_irregular(plane_set):
     ok = _join_masks(plane_set)
     if is_regular(plane_set) is not None or _first_system(plane_set, ok) is not None:
         raise NotIrregularError("completion starts from an irregular set")
-    gr = plane_set.gr
-    masks = gr.space.point_masks(gr.k)
-    faces = gr.space.incidence(gr.k - 1, gr.k)
-    added = []
-    for l in plane_set.complement():
-        if _first_system(plane_set, ok, l) is None:
-            added.append(l)
-            for w in faces[l]:
-                ok[w] |= masks[l]
-    return plane_set.union(PlaneSet(gr, added)) if added else plane_set
+    added = list(_completing_planes(plane_set, ok))
+    return plane_set.union(PlaneSet(plane_set.gr, added)) if added else plane_set
 
 
 def _point_mask(space, s):
@@ -336,7 +337,7 @@ def restricted_status(plane_set, t):
         return STATUS_CONTAINS_MAXIMAL_REGULAR
     if is_regular(sub) is not None:
         return STATUS_REGULAR
-    if _outside_planes_complete(sub, ok):
+    if next(_completing_planes(sub, ok), None) is None:
         return STATUS_MAXIMAL_IRREGULAR
     return STATUS_IRREGULAR
 
@@ -439,7 +440,9 @@ def are_similar(left, right):
     make every "no" sound; on a filter pass the full group of regular
     transformations is enumerated when that is feasible (q = 2, n <= 4),
     using its classification as induced maps plus, on middle dimension,
-    form-composed ones."""
+    form-composed ones.  Those are read through the standard symplectic form
+    map that the space builds once; it is an involution, so it also pulls
+    the right set back."""
     if left.gr.n != right.gr.n or left.gr.k != right.gr.k or left.gr.field.q != right.gr.field.q:
         raise ValueError("similarity needs plane sets on one Grassmannian")
     space = left.gr.space
@@ -470,8 +473,8 @@ def are_similar(left, right):
     form_post = None
     form_pre = None
     if n == 2 * k:
-        form_post = form_map(space, standard_symplectic(space.field, n), k)
-        form_pre = frozenset(form_post.inverse().table[j] for j in right_set)
+        form_post = _symplectic_map(space)
+        form_pre = frozenset(form_post.table[j] for j in right_set)
     image_index = _image_indexer(space, k)
     left_rows = [s.rows for s in left.members()]
 

@@ -10,7 +10,7 @@ from functools import partial, reduce
 from itertools import combinations
 from operator import and_, itemgetter
 
-from .forms import standard_symplectic, form_map
+from .forms import _symplectic_map, standard_symplectic
 from .grassmann import _Record
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map, induces
@@ -179,12 +179,15 @@ def _line_descent(space, f):
     hyperplane, the table is composed with the standard symplectic form map
     first; one such row tells the form-composed class apart, since a
     semilinear map sends the planes through a line to the planes through a
-    line.  The (composed) table's action on lines is then read off in one
-    step with `induces`, reconstructed there, lifted back to G_k and checked
-    against the input table.  At k = n-1 the matrix is scaled by the first
-    nonzero entry of the first row of its inverse, the scalar under which
-    the hyperplane table was conjugated to a line table through the dot
-    form.
+    line.  That form map is built once per space and is its own inverse.
+    The (composed) table's action on lines is then read off in one step
+    with `induces` and reconstructed there.  `ftpg_reconstruct` checks that
+    the map induces exactly that line table, so the candidate for G_k is
+    lifted from the line table itself, composed back with the form map and
+    checked against the input table.  At k = n-1 the matrix is scaled by
+    the first nonzero entry of the first row of its inverse, the scalar
+    under which the hyperplane table was conjugated to a line table through
+    the dot form; scaling leaves the line table as it is.
     """
     k, n = f.domain.k, space.n
     if not 1 <= k <= n - 1:
@@ -195,7 +198,7 @@ def _line_descent(space, f):
         star = frozenset(f.table[i] for i in space.incidence(k, 1)[0])
         if star in space.plane_of_incidence(k, n - 1):
             form = standard_symplectic(space.field, n)
-            post = form_map(space, form, k)
+            post = _symplectic_map(space)
             work = post.compose(f)
     lines = work if k == 1 else induces(space, work, 1)
     if lines is None:
@@ -206,9 +209,9 @@ def _line_descent(space, f):
         return ClassificationResult("linear", map=h, verified=True)
     if k == n - 1:
         h = h.scaled(next(x for x in h.matrix.inv().rows[0] if x))
-    candidate = induced_map(space, h, k)
+    candidate = induces(space, lines, k)
     if post is not None:
-        candidate = post.inverse().compose(candidate)
+        candidate = post.compose(candidate)
     if candidate != f:
         bad = next(i for i in range(len(f.table)) if f.table[i] != candidate.table[i])
         return ClassificationResult("not_classifiable", witness=(f.domain[bad],))

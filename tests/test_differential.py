@@ -23,8 +23,11 @@ through a dot-form map that it replaced; and the axis views of
 `hypergraph_view` read off point masks with one `Subspace.contains` per
 member and line; and the k = 2 search on the viable lines with the same
 search over every line; and the result records, built on one slotted base,
-with frozen dataclasses of the same fields.  The replaced implementations are
-kept here as reference oracles.
+with frozen dataclasses of the same fields; and the lift of the
+reconstructed line table to G_k, with the cached symplectic form map, with
+the map rebuilt and inverted per table and the plane table mapped again by
+`induced_map`.  The replaced implementations are kept here as reference
+oracles.
 """
 
 import copy
@@ -46,6 +49,7 @@ from qgrass.forms import (
     FormPredicates,
     ReflexiveClass,
     SymplecticBasis,
+    _symplectic_map,
     dot_form,
     form_map,
     standard_symplectic,
@@ -812,6 +816,96 @@ def test_line_descent_matches_star_walk(q, n, k, count, corruptions):
                 for reconstruct in (_line_descent, star_walk_reconstruct):
                     assert outcome(reconstruct, space, bad)[3:4] != (True,)
     assert kinds == ({"linear", "form_composed"} if n == 2 * k else {"linear"})
+
+
+def induced_lift_descent(space, f):
+    """The descent at 1 < k as it was before the lift read the line table:
+    the symplectic form map is built again for each form-composed table and
+    inverted, and the candidate is mapped again from the reconstructed
+    matrix by `induced_map`."""
+    k, n = f.domain.k, space.n
+    form = post = None
+    work = f
+    if n == 2 * k:
+        star = frozenset(f.table[i] for i in space.incidence(k, 1)[0])
+        if star in space.plane_of_incidence(k, n - 1):
+            form = standard_symplectic(space.field, n)
+            post = form_map(space, form, k)
+            work = post.compose(f)
+    lines = induces(space, work, 1)
+    if lines is None:
+        raise RuntimeError("the table induces no transformation of the lines")
+    h = ftpg_reconstruct(space, lines)
+    if k == n - 1:
+        h = h.scaled(next(x for x in h.matrix.inv().rows[0] if x))
+    candidate = induced_map(space, h, k)
+    if post is not None:
+        candidate = post.inverse().compose(candidate)
+    if candidate != f:
+        bad = next(i for i in range(len(f.table)) if f.table[i] != candidate.table[i])
+        return ClassificationResult("not_classifiable", witness=(f.domain[bad],))
+    kind = "linear" if form is None else "form_composed"
+    return ClassificationResult(kind, map=h, form=form, verified=True)
+
+
+def result_or_error(classify, space, f):
+    """The whole result of a classification, or the type, message and
+    witness of the error it raised."""
+    try:
+        return classify(space, f)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+# per space a few sampled tables (every second one composed with a form map
+# at n = 2k), each with seeded transpositions
+@pytest.mark.parametrize(
+    "q,n,k,count,corruptions",
+    [
+        (2, 4, 2, 6, 20), (3, 4, 2, 4, 10), (2, 5, 2, 4, 10), (2, 5, 3, 4, 10),
+        (2, 4, 3, 6, 20), (3, 4, 3, 4, 10), (2, 6, 3, 2, 4), (4, 3, 2, 6, 20),
+    ],
+)
+def test_line_table_lift_matches_induced_map_lift(q, n, k, count, corruptions):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"lift:{q}:{n}:{k}")
+    kinds = set()
+    for table in sampled_tables(space, k, count, rng):
+        for t in [table] + [transposed(table, rng) for _ in range(corruptions)]:
+            f = GrassmannMap(gk, gk, t)
+            got = result_or_error(_line_descent, space, f)
+            assert got == result_or_error(induced_lift_descent, space, f)
+            kinds.add(got.kind if isinstance(got, ClassificationResult) else got[0])
+    assert {"linear", "form_composed"} & kinds == ({"linear", "form_composed"} if n == 2 * k else {"linear"})
+    # every transposed table is refused one way or another
+    assert len(kinds) > (2 if n == 2 * k else 1)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (4, 4), (2, 6)])
+def test_cached_symplectic_map_is_the_form_map_and_an_involution(q, n):
+    space = Space.get(q, n)
+    fm = _symplectic_map(space)
+    assert fm == form_map(space, standard_symplectic(space.field, n), n // 2)
+    assert fm.compose(fm).is_identity()
+    assert fm.inverse() == fm
+    assert _symplectic_map(space) is fm
+
+
+def test_space_keeps_one_symplectic_map_across_classifications_and_similarity():
+    space = Space.get(2, 4)
+    g2 = space.grassmannian(2)
+    fm = _symplectic_map(space)
+    rng = random.Random("one-form-map")
+    kinds = set()
+    for table in sampled_tables(space, 2, 20, rng):
+        f = GrassmannMap(g2, g2, table)
+        kinds.add(chow_classify(space, f).kind)
+        kinds.add(regular_classify(space, f).kind)
+        left = PlaneSet(g2, rng.sample(range(len(g2)), 3))
+        assert are_similar(left, f.apply_set(left)).kind == "yes"
+    assert kinds == {"linear", "form_composed"}
+    assert space._symplectic is fm
 
 
 def walk_regular_count(k):

@@ -7,7 +7,7 @@ from qgrass.forms import dot_form, form_map, standard_symplectic
 from qgrass.grassmann import GrassmannMap, Space
 from qgrass.harness import random_semilinear
 from qgrass.maps import SemilinearMap, induced_map, induces
-from qgrass import reconstruction
+from qgrass import forms, reconstruction
 from qgrass.reconstruction import (
     AutomorphismMismatchError,
     NotDistancePreservingError,
@@ -205,10 +205,11 @@ def test_verified_classification_skips_the_distance_scan(monkeypatch):
 
 
 def test_form_map_built_only_for_form_composed_tables(monkeypatch):
-    # the descent builds the symplectic form map once, and only when the
-    # planes through line 0 map onto the planes inside a hyperplane
+    # the descent builds the symplectic form map only when the planes through
+    # line 0 map onto the planes inside a hyperplane, and then once per space:
+    # a second form-composed table reads the map the first one built
     calls = []
-    build = reconstruction.form_map
+    build = forms.form_map
 
     def counted(space, form, k):
         calls.append(k)
@@ -227,7 +228,10 @@ def test_form_map_built_only_for_form_composed_tables(monkeypatch):
     cases.append((space, corrupted, 0))
     fm = form_map(space, standard_symplectic(space.field, 4), 2)
     cases.append((space, fm.compose(linear), 1))
-    monkeypatch.setattr(reconstruction, "form_map", counted)
+    cases.append((space, fm.compose(induced_map(space, random_semilinear(space, rng), 2)), 0))
+    # spaces are shared across tests, so start this one with an empty slot
+    monkeypatch.setattr(space, "_symplectic", None)
+    monkeypatch.setattr(forms, "form_map", counted)
     for space, f, builds in cases:
         k = f.domain.k
         classify = chow_classify if 1 < k < space.n - 1 else regular_classify
@@ -238,6 +242,7 @@ def test_form_map_built_only_for_form_composed_tables(monkeypatch):
         assert verified == (f is not corrupted)
         assert calls == [k] * builds, (space.field.q, space.n, k)
         calls.clear()
+    assert space._symplectic == fm
 
 
 def test_regular_transformation_examples():
