@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, compress, product
 
 from .gf import field as get_field
-from .linalg import EchelonBasis, Mat, _rref_rows
+from .linalg import Mat, _rref_rows
 
 MAX_AMBIENT_DIM = 6
 MAX_GRASSMANNIAN = 100_000   # planes; G_2(F_4^6), 93,093 planes, is the largest below it
@@ -119,17 +119,13 @@ class Subspace:
         return Mat(self.field, self.rows)
 
     def contains_vector(self, v):
-        eb = EchelonBasis(self.field, self.rows)
-        return not any(eb.reduce(v))
+        return _rref_rows(self.field, self.rows + (v,), self.n)[1] == self.k
 
     def contains(self, other):
-        """Set containment: other is a subspace of self."""
+        """Set containment: other is a subspace of self (its rows add no rank)."""
         if other.n != self.n:
             raise ValueError("ambient dimensions differ")
-        if other.k > self.k:
-            return False
-        eb = EchelonBasis(self.field, self.rows)
-        return all(not any(eb.reduce(r)) for r in other.rows)
+        return _rref_rows(self.field, self.rows + other.rows, self.n)[1] == self.k
 
     def vectors(self):
         """All q^k vectors of the subspace, in coefficient-code order."""
@@ -163,6 +159,14 @@ def _subspace_cert(s):
     """A subspace as its rref rows in lists, as reports and certificates
     print it."""
     return [list(r) for r in s.rows]
+
+
+def _subspace_of_mask(space, mask):
+    """The subspace whose points are the set bits of `mask`: its dimension e
+    is read off the popcount (q^e - 1)/(q - 1)."""
+    count, q = mask.bit_count(), space.field.q
+    e = next(e for e in range(space.n + 1) if gaussian_binomial(e, 1, q) == count)
+    return space.grassmannian(e)[space.mask_index(e)[mask]]
 
 
 def join(a, b):
@@ -215,10 +219,12 @@ def geodesic(a, b):
 
 
 def _extension_rows(base, target):
-    eb = EchelonBasis(target.field, base.rows)
-    out = []
+    """The rows of target, in order, that each raise the rank of base's rows
+    and the rows kept before them."""
+    kept, out = list(base.rows), []
     for r in target.rows:
-        if eb.add(r):
+        if _rref_rows(target.field, kept + [r], target.n)[1] > len(kept):
+            kept.append(r)
             out.append(r)
     return out
 
@@ -308,6 +314,7 @@ class Space:
         self._masks = {}
         self._mask_index = {}
         self._systems = None
+        self._mr_family = {}
         self._symplectic = None
 
     @classmethod

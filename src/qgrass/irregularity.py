@@ -18,6 +18,7 @@ from .grassmann import (
     Subspace,
     _Record,
     _extension_rows,
+    _subspace_of_mask,
     gaussian_binomial,
     incidence_set,
     meet,
@@ -145,14 +146,6 @@ class Characteristics(_Record):
     saturated_hyperplanes: PlaneSet  # hyperplanes t with G_k(t) inside the set
     hyperplane_core: Subspace | None # meet of the saturated hyperplanes
     hyperplane_core_dim: int         # n when no hyperplane is saturated
-
-
-def _subspace_of_mask(space, mask):
-    """The subspace whose points are the set bits of `mask`: its dimension e
-    is read off the popcount (q^e - 1)/(q - 1)."""
-    count, q = mask.bit_count(), space.field.q
-    e = next(e for e in range(space.n + 1) if gaussian_binomial(e, 1, q) == count)
-    return space.grassmannian(e)[space.mask_index(e)[mask]]
 
 
 def characteristics(plane_set):
@@ -352,24 +345,25 @@ def _independent_rows(field, n, pools):
     """Yield every n-tuple of independent vectors of F^n whose i-th vector is
     drawn from pools[i], depth-first in pool order.
 
-    The span of the rows chosen so far is kept as a set of vectors, so each
-    candidate costs one lookup instead of a row reduction."""
-    elements, add, mul = field.elements, field.add, field._mul
+    The span of the rows chosen so far is a point mask (`Space.span_with`),
+    so each candidate costs one bit test of its line instead of a row
+    reduction; the zero vector has no line and is skipped."""
+    space = Space.get(field.q, n)
+    line_of = space.vector_lines()
+    span_with = space.span_with
 
-    def rec(rows, span):
+    def rec(rows, mask, points):
         last = len(rows) == n - 1
         for v in pools[len(rows)]:
-            if v in span:
+            t = line_of.get(v)
+            if t is None or mask >> t & 1:
                 continue
             if last:
                 yield rows + (v,)
             else:
-                wider = {
-                    tuple(add(x, mul[a][y]) for x, y in zip(u, v)) for u in span for a in elements
-                }
-                yield from rec(rows + (v,), wider)
+                yield from rec(rows + (v,), *span_with(mask, points, t))
 
-    return rec((), {(0,) * n})
+    return rec((), 0, ())
 
 
 def _invertible_matrices(field, n):
@@ -437,12 +431,15 @@ def are_similar(left, right):
     """Similarity under regular transformations, three-valued.
 
     Invariant filters (size, characteristics, pairwise-distance multiset)
-    make every "no" sound; on a filter pass the full group of regular
-    transformations is enumerated when that is feasible (q = 2, n <= 4),
-    using its classification as induced maps plus, on middle dimension,
-    form-composed ones.  Those are read through the standard symplectic form
-    map that the space builds once; it is an involution, so it also pulls
-    the right set back."""
+    make every "no" sound; on a filter pass one matrix loop searches the
+    regular transformations when that is feasible (q = 2, n <= 5).  At
+    n <= 4 it runs over the whole linear group, each matrix read both as an
+    induced map and, on middle dimension, composed with the standard
+    symplectic form map, which the space builds once and which, being an
+    involution, also pulls the right set back.  At n = 5 every regular
+    transformation is induced by a matrix, and such a matrix must carry the
+    line span (or the hyperplane core) of one set onto that of the other, so
+    exhausting those matrices decides similarity."""
     if left.gr.n != right.gr.n or left.gr.k != right.gr.k or left.gr.field.q != right.gr.field.q:
         raise ValueError("similarity needs plane sets on one Grassmannian")
     space = left.gr.space
@@ -466,68 +463,42 @@ def are_similar(left, right):
         return Similarity("no", None, "pairwise distance multisets differ")
     if q != 2 or n > 5:
         return Similarity("inconclusive", None, "regular group too large to enumerate")
-    if n == 5:
-        return _similar_span_constrained(left, right)
-
-    right_set = right.iset
-    form_post = None
-    form_pre = None
-    if n == 2 * k:
-        form_post = _symplectic_map(space)
-        form_pre = frozenset(form_post.table[j] for j in right_set)
-    image_index = _image_indexer(space, k)
-    left_rows = [s.rows for s in left.members()]
-
-    for m in _invertible_matrices(space.field, n):
-        lin_ok = True
-        frm_ok = form_pre is not None
-        complete = True
-        for rows in left_rows:
-            i = image_index(m.rows, rows)
-            if lin_ok and i not in right_set:
-                lin_ok = False
-            if frm_ok and i not in form_pre:
-                frm_ok = False
-            if not lin_ok and not frm_ok:
-                complete = False
-                break
-        if not complete:
-            continue
-        # images of distinct planes are distinct, so full containment at equal
-        # sizes is already a bijection onto the target
-        witness = induced_map(space, SemilinearMap(space.field, m), k)
-        if lin_ok:
-            return Similarity("yes", witness, "linear witness")
-        if frm_ok:
-            return Similarity("yes", form_post.compose(witness), "form-composed witness")
-    return Similarity("no", None, "regular transformation group exhausted")
-
-
-def _similar_span_constrained(left, right):
-    """Exhaustive linear search at n = 5, cut down by the forced image of the
-    line span (or the hyperplane core) of the characteristics.
-
-    Away from the middle dimension every regular transformation is induced by
-    a matrix, and such a matrix must carry the canonical span of one set onto
-    that of the other, so exhausting the constrained matrices decides
-    similarity."""
-    space = left.gr.space
-    n, k = left.gr.n, left.gr.k
-    if k <= 1 or k >= n - 1:
-        return Similarity("inconclusive", None, "no characteristic constraint available")
-    cl, cr = characteristics(left), characteristics(right)
-    if cl.line_span is not None and cr.line_span is not None:
-        src, dst = cl.line_span, cr.line_span
-    elif cl.hyperplane_core is not None and cr.hyperplane_core is not None and cl.hyperplane_core.k >= 1:
-        src, dst = cl.hyperplane_core, cr.hyperplane_core
+    targets = [("linear witness", right.indices, None)]
+    if n < 5:
+        matrices = _invertible_matrices(space.field, n)
+        exhausted = "regular transformation group exhausted"
+        if n == 2 * k:
+            form_post = _symplectic_map(space)
+            targets.append(("form-composed witness", [form_post.table[j] for j in right.indices], form_post))
     else:
-        return Similarity("inconclusive", None, "no characteristic constraint available")
+        if not 1 < k < n - 1:
+            return Similarity("inconclusive", None, "no characteristic constraint available")
+        if cl.line_span is not None and cr.line_span is not None:
+            src, dst = cl.line_span, cr.line_span
+        elif cl.hyperplane_core is not None and cr.hyperplane_core is not None and cl.hyperplane_core.k >= 1:
+            src, dst = cl.hyperplane_core, cr.hyperplane_core
+        else:
+            return Similarity("inconclusive", None, "no characteristic constraint available")
+        matrices = _matrices_mapping(space.field, n, src, dst)
+        exhausted = "span-constrained linear search exhausted"
+    # each plane holds one bit per target containing it; a matrix fits the
+    # targets whose bits survive every left plane's image, and images of
+    # distinct planes are distinct, so at equal sizes it maps onto them
+    held_by = {}
+    for bit, (_, planes, _) in enumerate(targets):
+        for j in planes:
+            held_by[j] = held_by.get(j, 0) | 1 << bit
+    everyone = (1 << len(targets)) - 1
     image_index = _image_indexer(space, k)
     left_rows = [s.rows for s in left.members()]
-    right_set = right.iset
-    for m in _matrices_mapping(space.field, n, src, dst):
-        if all(image_index(m.rows, rows) in right_set for rows in left_rows):
-            return Similarity(
-                "yes", induced_map(space, SemilinearMap(space.field, m), k), "linear witness"
-            )
-    return Similarity("no", None, "span-constrained linear search exhausted")
+    for m in matrices:
+        fits = everyone
+        for rows in left_rows:
+            fits &= held_by.get(image_index(m.rows, rows), 0)
+            if not fits:
+                break
+        else:
+            reason, _, post = targets[(fits & -fits).bit_length() - 1]
+            witness = induced_map(space, SemilinearMap(space.field, m), k)
+            return Similarity("yes", witness if post is None else post.compose(witness), reason)
+    return Similarity("no", None, exhausted)

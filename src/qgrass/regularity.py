@@ -10,10 +10,12 @@ when some system has every member among its coordinate k-planes.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
-from .grassmann import PlaneSet, Subspace, _Record, incidence_set, join, meet
+from .grassmann import PlaneSet, Subspace, _Record, _subspace_of_mask, incidence_set
 from .linalg import EchelonBasis
 
 
@@ -259,20 +261,19 @@ def profile(subset, maximal_superset):
     recovered as the intersection of the members through it."""
     if not subset.issubset(maximal_superset):
         raise ValueError("profile needs subset <= maximal superset")
-    if not is_maximal_regular(maximal_superset):
-        raise NotRegularError("profile needs a maximal regular superset")
-    system = associated_systems(maximal_superset, limit=1)[0]
     gr = subset.gr
+    system = is_regular(maximal_superset) if len(maximal_superset) == comb(gr.n, gr.k) else None
+    if system is None:
+        raise NotRegularError("profile needs a maximal regular superset")
+    masks = gr.space.point_masks(gr.k)
     members = subset.indices
     records = []
     n_exact = 0
-    for axis in system.lines:
-        through = [i for i in members if gr[i].contains(axis)]
+    for line, axis in zip(system.line_indices, system.lines):
+        through = [i for i in members if masks[i] >> line & 1]
         planes = PlaneSet(gr, through)
         if through:
-            core = gr[through[0]]
-            for i in through[1:]:
-                core = meet(core, gr[i])
+            core = _subspace_of_mask(gr.space, reduce(and_, (masks[i] for i in through)))
             dim = core.k
         else:
             core, dim = None, 0
@@ -422,14 +423,10 @@ def all_coordinate_systems(space):
 
 def maximal_regular_family(space, k):
     """All maximal regular subsets of G_k as frozensets of indices (cached)."""
-    cache = getattr(space, "_mr_family", None)
-    if cache is None:
-        cache = space._mr_family = {}
-    fam = cache.get(k)
+    fam = space._mr_family.get(k)
     if fam is None:
-        fam = tuple(
+        fam = space._mr_family[k] = tuple(
             frozenset(sys_.coordinate_planes(k).indices)
             for sys_ in all_coordinate_systems(space)
         )
-        cache[k] = fam
     return fam

@@ -26,7 +26,11 @@ search over every line; and the result records, built on one slotted base,
 with frozen dataclasses of the same fields; and the lift of the
 reconstructed line table to G_k, with the cached symplectic form map, with
 the map rebuilt and inverted per table and the plane table mapped again by
-`induced_map`.  The replaced implementations are kept here as reference
+`induced_map`; and the similarity search's matrix enumerators, which carry
+spans as point masks, with echelon-basis enumerators; and `profile`, which
+reads point masks after one covering search, with the version that searched
+twice and met the members; and rank-based containment and basis extension
+with echelon bases.  The replaced implementations are kept here as reference
 oracles.
 """
 
@@ -38,7 +42,7 @@ import pickle
 import random
 import sys
 from bisect import bisect_left
-from itertools import combinations, permutations, product, zip_longest
+from itertools import combinations, islice, permutations, product, zip_longest
 from math import comb, factorial, prod
 from pathlib import Path
 
@@ -60,8 +64,10 @@ from qgrass.grassmann import (
     Space,
     Subspace,
     _Record,
+    _extension_rows,
     distance,
     gaussian_binomial,
+    incidence_set,
     join,
     meet,
 )
@@ -114,7 +120,9 @@ from qgrass.regularity import (
     degree,
     hypergraph_view,
     is_exact,
+    is_maximal_regular,
     maximal_regular_family,
+    profile,
 )
 
 # ---------------------------------------------------------------------------
@@ -375,13 +383,27 @@ def group_maps(q, n):
     return [SemilinearMap(field, Mat(field, rows)) for rows in echelon_rows(field, n, [vectors] * n)]
 
 
+def echelon_extension_rows(base, target):
+    """The rows of target that an echelon basis seeded with base's rows
+    accepts, in order."""
+    eb = EchelonBasis(target.field, base.rows)
+    return [r for r in target.rows if eb.add(r)]
+
+
+def echelon_contains(s, other):
+    if other.k > s.k:
+        return False
+    eb = EchelonBasis(s.field, s.rows)
+    return all(not any(eb.reduce(r)) for r in other.rows)
+
+
+def echelon_contains_vector(s, v):
+    return not any(EchelonBasis(s.field, s.rows).reduce(v))
+
+
 def span_maps(field, n, src, dst):
     """SemilinearMap of every invertible matrix carrying src onto dst."""
-    ext = []
-    eb = EchelonBasis(field, src.rows)
-    for v in Mat.identity(field, n).rows:
-        if eb.add(v):
-            ext.append(v)
+    ext = echelon_extension_rows(src, Subspace(field, n, Mat.identity(field, n).rows))
     dom_inv_t = Mat(field, tuple(src.rows) + tuple(ext)).inv().transpose()
     dst_vecs = [v for v in dst.vectors() if any(v)]
     all_vecs = list(product(field.elements, repeat=n))
@@ -940,6 +962,17 @@ def test_enumerators_match_echelon_reference():
         src, dst = space.grassmannian(ks)[i], space.grassmannian(kd)[j]
         got = [m.rows for m in _matrices_mapping(space.field, 4, src, dst)]
         assert got == [h.matrix.rows for h in span_maps(space.field, 4, src, dst)]
+    space = Space.get(3, 3)
+    for ks, i, j in ((1, 0, 11), (2, 4, 9)):
+        src, dst = space.grassmannian(ks)[i], space.grassmannian(ks)[j]
+        got = [m.rows for m in _matrices_mapping(space.field, 3, src, dst)]
+        assert got == [h.matrix.rows for h in span_maps(space.field, 3, src, dst)]
+    # a prefix of the 64,512 matrices carrying one 3-space of F_2^5 onto another
+    space = Space.get(2, 5)
+    src, dst = space.grassmannian(3)[5], space.grassmannian(3)[100]
+    got = [m.rows for m in islice(_matrices_mapping(space.field, 5, src, dst), 5000)]
+    assert len(got) == 5000
+    assert got == [h.matrix.rows for h in islice(span_maps(space.field, 5, src, dst), 5000)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -981,6 +1014,28 @@ def test_similarity_search_matches_matrix_loop_on_constructions_at_n5():
     for a, b in ((i1, i2), (i1, i3), (i2, i3)):
         assert similarity(are_similar(a, b)) == similarity(matrix_loop_similar(a, b))
     assert are_similar(i2, i3).reason == "linear witness"
+
+
+def test_similarity_answers_linear_when_the_first_fit_fits_both_targets():
+    # every plane of (2,4,2) is in the right set and in its form pre-image
+    everything = PlaneSet(Space.get(2, 4).grassmannian(2), range(35))
+    sim = are_similar(everything, everything)
+    assert (sim.kind, sim.reason) == ("yes", "linear witness")
+    first = next(_invertible_matrices(everything.gr.field, 4))
+    assert sim.witness == induced_map(everything.gr.space, SemilinearMap(everything.gr.field, first), 2)
+    assert similarity(sim) == similarity(matrix_loop_similar(everything, everything))
+
+
+def test_similarity_answers_form_composed_when_only_the_form_target_fits():
+    # no matrix maps the planes through a line onto the planes in a
+    # hyperplane; the symplectic form map does
+    space = Space.get(2, 4)
+    star = incidence_set(space, space.grassmannian(1)[0], 2)
+    top = incidence_set(space, space.grassmannian(3)[0], 2)
+    sim = are_similar(star, top)
+    assert (sim.kind, sim.reason) == ("yes", "form-composed witness")
+    assert sim.witness.apply_set(star) == top
+    assert similarity(sim) == similarity(matrix_loop_similar(star, top))
 
 
 def test_maximal_regular_witness_matches_echelon_search_on_every_line_set():
@@ -1294,6 +1349,110 @@ def test_degree_runs_one_covering_search(monkeypatch):
         degrees.append(degree(PlaneSet(space.grassmannian(2), planes[:size]))[0])
         assert len(searches) == 1
     assert degrees == [3, 2, 2, 1, 0, 0]
+
+
+def meet_profile(subset, maximal_superset):
+    """`profile` with a maximality test and a second search for the system,
+    one `Subspace.contains` per member and axis, and the core as the meet of
+    the members through the axis."""
+    if not subset.issubset(maximal_superset):
+        raise ValueError("profile needs subset <= maximal superset")
+    if not is_maximal_regular(maximal_superset):
+        raise NotRegularError("profile needs a maximal regular superset")
+    system = associated_systems(maximal_superset, limit=1)[0]
+    gr = subset.gr
+    records = []
+    n_exact = 0
+    for axis in system.lines:
+        through = [i for i in subset.indices if gr[i].contains(axis)]
+        if through:
+            core = functools.reduce(meet, (gr[i] for i in through))
+            dim = core.k
+        else:
+            core, dim = None, 0
+        n_exact += dim == 1
+        records.append(AxisRecord(axis, PlaneSet(gr, through), core, dim))
+    return AxisProfile(system, tuple(records), n_exact)
+
+
+def profile_outcome(prof, subset, superset):
+    try:
+        return prof(subset, superset)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_profile(subset, superset):
+    got = profile_outcome(profile, subset, superset)
+    assert got == profile_outcome(meet_profile, subset, superset)
+    return got
+
+
+def test_mask_profile_matches_meet_profile_on_every_subset_at_2_4_2():
+    space = Space.get(2, 4)
+    planes = regularity.all_coordinate_systems(space)[0].coordinate_planes(2)
+    exact = 0
+    for size in range(len(planes) + 1):
+        for sub in combinations(planes.indices, size):
+            exact += assert_same_profile(PlaneSet(planes.gr, sub), planes).exact_axis_count == 4
+    assert exact > 0
+    # the errors: a subset outside the superset, a superset one plane short,
+    # and a set of C(4, 2) planes that is not regular
+    assert assert_same_profile(planes.complement(), planes)[0] is ValueError
+    short = PlaneSet(planes.gr, planes.indices[:5])
+    assert assert_same_profile(short, short)[0] is NotRegularError
+    assert assert_same_profile(short, short.with_index(planes.complement().indices[0]))[0] is NotRegularError
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 4, 2), (2, 5, 2), (2, 5, 3)])
+def test_mask_profile_matches_meet_profile_on_seeded_sets(q, n, k):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"profile:{q}:{n}:{k}")
+    for _ in range(30):
+        lines = [Subspace.span(space.field, n, [r]) for r in random_invertible(space.field, n, rng).rows]
+        planes = CoordinateSystem(space, lines).coordinate_planes(k)
+        sub = PlaneSet(gk, rng.sample(planes.indices, rng.randint(0, len(planes))))
+        assert isinstance(assert_same_profile(sub, planes), AxisProfile)
+        # the subset against C(n, k) planes that hold it, regular or not
+        other = PlaneSet(gk, rng.sample(planes.complement().indices, len(planes) - len(sub)))
+        assert_same_profile(sub, sub.union(other))
+
+
+def test_profile_runs_one_covering_search(monkeypatch):
+    searches = []
+    search = regularity._covering_system_indices
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_covering_system_indices", counted)
+    space = Space.get(2, 4)
+    planes = regularity.all_coordinate_systems(space)[0].coordinate_planes(2)
+    for size in range(len(planes) + 1):
+        searches.clear()
+        profile(PlaneSet(planes.gr, planes.indices[:size]), planes)
+        assert len(searches) == 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+def test_rank_containment_and_extension_match_echelon_basis(q, n):
+    space = Space.get(q, n)
+    subspaces = [s for k in range(n + 1) for s in space.grassmannian(k)]
+    vectors = list(product(space.field.elements, repeat=n))
+    contained = 0
+    for a in subspaces:
+        for v in vectors:
+            assert a.contains_vector(v) == echelon_contains_vector(a, v)
+        for b in subspaces:
+            assert a.contains(b) == echelon_contains(a, b)
+            assert _extension_rows(a, b) == echelon_extension_rows(a, b)
+            contained += a.contains(b)
+    # the pairs b <= a: flags of two subspaces
+    assert contained == sum(
+        gaussian_binomial(n, ka, q) * gaussian_binomial(ka, kb, q) for ka in range(n + 1) for kb in range(ka + 1)
+    )
 
 
 @pytest.mark.parametrize("q,n", TABLE_SPACES)
