@@ -109,12 +109,12 @@ def _alternating_rows(field, n, fill):
     return rows
 
 
-def random_alternating_gram(field, n, rng, nonsingular=True):
-    """Random Gram with zero diagonal and entry (j,i) = -entry (i,j)."""
+def random_alternating_gram(field, n, rng):
+    """Random nonsingular Gram with zero diagonal and entry (j,i) = -entry (i,j)."""
     while True:
         fill = [rng.randrange(field.q) for _ in range(comb(n, 2))]
         m = Mat(field, _alternating_rows(field, n, fill))
-        if not nonsingular or m.rank() == n:
+        if m.rank() == n:
             return m
 
 
@@ -122,11 +122,11 @@ def random_nonsingular_form(space, rng):
     return BilinearForm(space.field, random_invertible(space.field, space.n, rng))
 
 
-def random_irregular(space, k, rng, tries=200):
+def random_irregular(space, k, rng):
     """A random irregular subset of G_k, mixing punctured meeting sets and
-    filtered raw subsets."""
+    filtered raw subsets, in at most 200 draws."""
     gk = space.grassmannian(k)
-    for _ in range(tries):
+    for _ in range(200):
         if rng.random() < 0.5:
             dim = rng.randrange(1, space.n - k + 1)
             s = Subspace.span(
@@ -375,24 +375,18 @@ def check_thm_2_2_2(q, n, k, rng):
     if k == 1:
         # G_1 of F^1 has a single system, so the statement needs n >= 2
         _require(q == 2 and 2 <= n <= 4, "k = 1 with q = 2, 2 <= n <= 4")
-        g1 = space.grassmannian(1)
         checked = 0
-        for size in range(0, n + 1):
-            for subset in combinations(range(len(g1)), size):
-                rp = PlaneSet(g1, subset)
-                systems = associated_systems(rp)
-                if not systems:
-                    continue
-                checked += 1
-                d, _ = _degree(rp, systems)
-                if d != n - size:
-                    return CheckResult(
-                        "thm-2.2.2",
-                        False,
-                        "all independent line sets",
-                        {"checked": checked},
-                        _planes(rp, "lines", degree=d),
-                    )
+        for rp in _regular_subset_sweep(space, 1, 0):
+            checked += 1
+            d, _ = _degree(rp, associated_systems(rp))
+            if d != n - len(rp):
+                return CheckResult(
+                    "thm-2.2.2",
+                    False,
+                    "all independent line sets",
+                    {"checked": checked},
+                    _planes(rp, "lines", degree=d),
+                )
         return CheckResult(
             "thm-2.2.2",
             True,

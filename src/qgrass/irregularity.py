@@ -422,9 +422,10 @@ def _image_indexer(space, k):
 
 
 def _fingerprint(plane_set):
-    d = plane_set.gr.space.distance_matrix(plane_set.gr.k)
-    idx = plane_set.indices
-    return tuple(sorted(d[a][b] for a, b in combinations(idx, 2)))
+    """The sorted point counts of the members' pairwise meets; in one
+    Grassmannian a meet's point count fixes the pair's distance."""
+    masks = plane_set.gr.space.point_masks(plane_set.gr.k)
+    return sorted((masks[a] & masks[b]).bit_count() for a, b in combinations(plane_set.indices, 2))
 
 
 def are_similar(left, right):

@@ -11,10 +11,11 @@ from itertools import combinations
 from operator import and_, itemgetter
 
 from .forms import _symplectic_map, standard_symplectic
-from .grassmann import _Record
+from .grassmann import PlaneSet, _Record
+from .irregularity import contains_maximal_regular
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map, induces
-from .regularity import _independent, _systems_within, maximal_regular_family
+from .regularity import _independent, _systems_within
 
 
 class NotIndependencePreservingError(ValueError):
@@ -239,38 +240,33 @@ def chow_classify(space, f):
 def regular_violation(space, f):
     """A maximal regular set whose image or preimage is not one, or None.
 
-    Maximal regular sets are taken in the canonical order of the coordinate
-    systems.  On the line Grassmannian they are the n-sets of independent
-    lines, and on the hyperplane Grassmannian the n-sets of hyperplanes with
-    no common point (their point masks AND to 0), so there the systems are
-    walked lazily and each image and preimage is tested directly; other
-    dimensions look the images up in the cached family.
+    Maximal regular sets are the coordinate-plane sets of the coordinate
+    systems, walked lazily in canonical order, and each image and preimage
+    is tested directly.  On the line Grassmannian they are the n-sets of
+    independent lines, and on the hyperplane Grassmannian the n-sets of
+    hyperplanes with no common point (their point masks AND to 0).  In
+    between, a set of C(n, k) planes is maximal regular exactly when it
+    contains the coordinate planes of some system.
     """
     k, n = f.domain.k, space.n
     t, inv = f.table, f.inverse().table
-    if k == f.codomain.k == 1:
-        # a system's lines are its maximal regular set
-        members, regular = tuple, partial(_independent, space)
-    elif k == f.codomain.k == n - 1:
+    if k == 1:
+        regular = partial(_independent, space)
+    elif k == n - 1:
         masks = space.point_masks(k)
-
-        def members(system):
-            return [space.line_join_index(c, k) for c in combinations(system, k)]
 
         def regular(hyperplanes):
             return reduce(and_, (masks[i] for i in hyperplanes)) == 0
 
     else:
-        family = maximal_regular_family(space, k)
-        fam_set = set(family)
-        for mr in family:
-            if frozenset(t[i] for i in mr) not in fam_set:
-                return mr
-            if frozenset(inv[i] for i in mr) not in fam_set:
-                return mr
-        return None
+        gk = space.grassmannian(k)
+
+        def regular(planes):
+            return contains_maximal_regular(PlaneSet(gk, planes)) is not None
+
     for system in _systems_within(space, 1, [-1]):
-        mr = members(system)
+        # a system's lines are its maximal regular set of G_1
+        mr = system if k == 1 else [space.line_join_index(c, k) for c in combinations(system, k)]
         if not (regular(t[i] for i in mr) and regular(inv[i] for i in mr)):
             return frozenset(mr)
     return None
@@ -321,7 +317,7 @@ def regular_classify(space, f):
     The table is reconstructed first.  A verified reconstruction certifies
     regularity: a semilinear map, alone or followed by a form map, carries
     maximal regular sets to maximal regular sets both ways.  Only when the
-    reconstruction fails is the maximal regular family scanned, to name a
+    reconstruction fails are the maximal regular sets walked, to name a
     witness; without one the reconstruction's own outcome stands.
     """
     try:

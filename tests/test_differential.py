@@ -952,6 +952,52 @@ def test_hyperplane_walk_matches_family_scan():
     assert walk_regular_count(2) == 168
 
 
+# per space 5 sampled tables (every second one composed with a form map at
+# n = 2k), each with 8 seeded transpositions and one shuffle of its entries;
+# the tables themselves are left out, since on a regular table the walk
+# visits every system (83,328 at (2,5,2)), where the classifiers never call it
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 5, 3)])
+def test_middle_walk_matches_family_scan(q, n, k):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"middle-walk:{q}:{n}:{k}")
+    for table in sampled_tables(space, k, 5, rng):
+        for t in [transposed(table, rng) for _ in range(8)] + [rng.sample(table, len(table))]:
+            f = GrassmannMap(gk, gk, t)
+            witness = regular_violation(space, f)
+            assert witness is not None and witness == family_violation(space, f)
+
+
+def distance_fingerprint(plane_set):
+    """The sorted pairwise distances of the members, read off the whole
+    `distance_matrix`."""
+    d = plane_set.gr.space.distance_matrix(plane_set.gr.k)
+    return sorted(d[a][b] for a, b in combinations(plane_set.indices, 2))
+
+
+# seeded pairs of 2-6 planes: random ones, and a set against its image under
+# a seeded semilinear map with, every second time, one member replaced
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2)])
+def test_mask_fingerprint_matches_distance_fingerprint(q, n, k):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"fingerprint:{q}:{n}:{k}")
+    same = 0
+    for i in range(300):
+        left = PlaneSet(gk, rng.sample(range(len(gk)), rng.randrange(2, 7)))
+        if i % 3 == 0:
+            right = PlaneSet(gk, rng.sample(range(len(gk)), len(left)))
+        else:
+            image = induced_map(space, random_semilinear(space, rng), k).apply_set(left).indices
+            if i % 2:
+                image = image[1:] + (rng.choice([j for j in range(len(gk)) if j not in image]),)
+            right = PlaneSet(gk, image)
+        agree = _fingerprint(left) == _fingerprint(right)
+        assert agree == (distance_fingerprint(left) == distance_fingerprint(right))
+        same += agree
+    assert 0 < same < 300
+
+
 def test_enumerators_match_echelon_reference():
     for q, n in ((2, 2), (2, 3), (3, 3), (4, 2), (2, 4)):
         field = Space.get(q, n).field

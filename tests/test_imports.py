@@ -1,10 +1,13 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and every private
+helper it defines is used somewhere in the library.
 
 Each module of `src/qgrass` but the package's `__init__` (whose imports are
 its public API) is parsed with `ast`; an imported name that the module never
 reads is reported.  Attribute access such as `sys.argv` reads `sys` as a
 name, so reading names is enough.  Imports from `__future__` are directives
-and bind no name.
+and bind no name.  A module-level function or class whose name starts with
+one underscore is dead when no module of the package reads it, as a name or
+as an attribute (`module._helper`); defining or importing it is no read.
 """
 
 import ast
@@ -13,7 +16,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qgrass"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in SOURCES if name != "__init__.py")
 
 
 def unused_imports(source):
@@ -36,4 +40,40 @@ def test_unused_imports_finds_dead_names():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_only_names_it_uses(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(SOURCES[module]) == []
+
+
+def dead_private_helpers(sources):
+    """The (module, name) pairs of private module-level functions and classes
+    that no source reads, sorted."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    )
+
+
+def test_dead_private_helpers_finds_unread_definitions():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\nclass _Dead: pass\ndef public(): pass\n"
+                "def __dunder__(): pass\n",
+        "b.py": "from a import _dead as d, _used\nimport a\n_used()\na._Used\n",
+        "c.py": "class _Used: pass\n",
+    }
+    assert dead_private_helpers(sources) == [("a.py", "_Dead"), ("a.py", "_dead")]
+
+
+def test_every_private_helper_is_read():
+    assert dead_private_helpers(SOURCES) == []
