@@ -306,7 +306,6 @@ class Space:
         self.n = n
         self._grassmannians = {}
         self._incidence = {}
-        self._plane_of = {}
         self._join_memo = {}
         self._thirds = {}
         self._vector_lines = None
@@ -370,14 +369,6 @@ class Space:
                 table = [tuple(i for i, b in enumerate(big) if a & b == a) for a in small]
         self._incidence[key] = table
         return table
-
-    def plane_of_incidence(self, k, m):
-        """Reverse of `incidence(k, m)`: each row's frozenset to its G_m index
-        (cached).  Rows tell planes apart unless k is 0 or n."""
-        rev = self._plane_of.get((k, m))
-        if rev is None:
-            rev = self._plane_of[(k, m)] = {frozenset(r): i for i, r in enumerate(self.incidence(k, m))}
-        return rev
 
     def line_join_index(self, line_indices, k):
         """G_k index of the join of the given lines, or None if dim < k."""

@@ -5,6 +5,9 @@ Grassmannians of different dimensions.
 
 from __future__ import annotations
 
+from functools import partial, reduce
+from operator import and_, or_
+
 from .forms import BilinearForm
 from .grassmann import GrassmannMap, Subspace
 from .linalg import Mat, SingularMatrixError
@@ -111,6 +114,19 @@ def pullback_form(f, form):
     return BilinearForm(form.field, g, form.sigma1, form.sigma2)
 
 
+def _row_planes(space, t, k, m, rows):
+    """Iterator: for each row of G_k indices, the G_m plane whose row in
+    `Space.incidence(k, m)` is its image under the bijection t, or None, by
+    `mask_index(m)` of the image masks ORed when k < m (the planes inside s
+    cover s; a sum at k = 1, lines being distinct bits) or ANDed when k > m
+    (the planes through s meet in s); exact for rows of that table's size."""
+    masks = space.point_masks(k)
+    image = [masks[i] for i in t].__getitem__
+    index = space.mask_index(m).get
+    fold = sum if k == 1 < m else partial(reduce, or_ if k < m else and_)
+    return (index(fold(map(image, row))) for row in rows)
+
+
 def induces(space, f, m):
     """The transformation of G_m induced by a transformation f of G_k, if any.
 
@@ -129,10 +145,8 @@ def induces(space, f, m):
     gm = space.grassmannian(m)
     if k in (0, space.n):
         return None
-    plane_of = space.plane_of_incidence(k, m)
     forward = []
-    for row in space.incidence(k, m):
-        s = plane_of.get(frozenset(f.table[i] for i in row))
+    for s in _row_planes(space, f.table, k, m, space.incidence(k, m)):
         if s is None:
             return None
         forward.append(s)

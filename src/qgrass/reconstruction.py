@@ -14,7 +14,7 @@ from .forms import _symplectic_map, standard_symplectic
 from .grassmann import PlaneSet, _Record
 from .irregularity import contains_maximal_regular
 from .linalg import Mat
-from .maps import SemilinearMap, induced_map, induces
+from .maps import SemilinearMap, _row_planes, induced_map, induces
 from .regularity import _independent, _systems_within
 
 
@@ -60,20 +60,22 @@ def independence_violation(space, f):
     """A hyperplane whose line set maps to no hyperplane's line set, or None.
 
     Checking every hyperplane both ways is equivalent to preservation of all
-    independent line collections.
+    independent line collections; the first in index order is named.
     """
-    n = space.n
-    if n < 3:
+    _check_line_table(space, f)
+    n, rows = space.n, space.incidence(1, space.n - 1)
+    images = zip(_row_planes(space, f.table, 1, n - 1, rows), _row_planes(space, f.inverse().table, 1, n - 1, rows))
+    for hi, pair in enumerate(images):
+        if None in pair:
+            return space.grassmannian(n - 1)[hi]
+    return None
+
+
+def _check_line_table(space, f):
+    if space.n < 3:
         raise ValueError("independence preservation needs dimension >= 3")
     if f.domain.k != 1 or f.codomain.k != 1:
         raise ValueError("expected a transformation of the line Grassmannian")
-    hyperplane_of = space.plane_of_incidence(1, n - 1)
-    inv = f.inverse().table
-    for hi, row in enumerate(space.incidence(1, n - 1)):
-        for t in (f.table, inv):
-            if frozenset(t[i] for i in row) not in hyperplane_of:
-                return space.grassmannian(n - 1)[hi]
-    return None
 
 
 def is_independence_preserving(space, f):
@@ -92,14 +94,24 @@ def ftpg_reconstruct(space, f):
     rescale image representatives through the images of the lines of
     e_1 + e_i, read the coordinate automorphism off the images of the lines
     of e_1 + a e_2, match it against the Frobenius powers, assemble the
-    matrix, and verify the induced table equals the input everywhere.
+    matrix, and verify the induced table equals the input everywhere.  Only
+    when that fails is independence scanned (induced tables preserve it); a
+    hyperplane the scan names is raised in place of the rebuild's error.
     """
+    _check_line_table(space, f)
+    try:
+        return _rebuild(space, f)
+    except ValueError:
+        witness = independence_violation(space, f)
+        if witness is not None:
+            raise NotIndependencePreservingError(witness) from None
+        raise
+
+
+def _rebuild(space, f):
+    """The verified map of `ftpg_reconstruct`; a ValueError if none exists."""
     n = space.n
     field = space.field
-    witness = independence_violation(space, f)
-    if witness is not None:
-        raise NotIndependencePreservingError(witness)
-
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     y_prime = [_line_rep(space, f, e) for e in unit]
     ys = [y_prime[0]]
@@ -119,11 +131,7 @@ def ftpg_reconstruct(space, f):
         if coords is None or coords[0] == 0:
             raise AutomorphismMismatchError("image line escapes its coordinate plane")
         sigma_table[a] = field.div(coords[1], coords[0])
-    sigma = None
-    for candidate in field.automorphisms():
-        if all(candidate(a) == sigma_table[a] for a in range(field.q)):
-            sigma = candidate
-            break
+    sigma = next((c for c in field.automorphisms() if list(map(c, range(field.q))) == sigma_table), None)
     if sigma is None:
         raise AutomorphismMismatchError("recovered action is not a field automorphism")
 
@@ -196,8 +204,8 @@ def _line_descent(space, f):
     form = post = None
     work = f
     if k > 1 and n == 2 * k:
-        star = frozenset(f.table[i] for i in space.incidence(k, 1)[0])
-        if star in space.plane_of_incidence(k, n - 1):
+        # the star of line 0 has the size of G_k(H), since [2k-1, k-1]_q = [2k-1, k]_q
+        if next(_row_planes(space, f.table, k, n - 1, space.incidence(k, 1)[:1])) is not None:
             form = standard_symplectic(space.field, n)
             post = _symplectic_map(space)
             work = post.compose(f)

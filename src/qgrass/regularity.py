@@ -13,7 +13,7 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import and_
+from operator import and_, or_
 
 from .grassmann import PlaneSet, Subspace, _Record, _subspace_of_mask, incidence_set
 from .linalg import EchelonBasis
@@ -385,9 +385,10 @@ def _systems_within(space, k, ok, forced=None):
 
 def _viable_lines(space, ok):
     """The lines that can lie on a system inside the set with join masks `ok`
-    at k = 2, as a bitmask: the pool of all lines shrunk to a fixpoint, where
-    a line t stays only while its pooled joins `ok[t] & pool` span F^n, that
-    is lie in no hyperplane (arc consistency, Mackworth 1977).
+    at k = 2, as a bitmask: the points of the set's planes (the OR of `ok`)
+    shrunk to a fixpoint, where a line t stays only while its pooled joins
+    `ok[t] & pool` span F^n, that is lie in no hyperplane through t, t being
+    one of them (arc consistency, Mackworth 1977).
 
     Sound: every other line of a system inside the set joins t to a plane of
     the set, so it lies in `ok[t]` and, by induction, in the pool, and with t
@@ -395,8 +396,8 @@ def _viable_lines(space, ok):
     on the pool yields the same systems in the same order.
     """
     n = space.n
-    hyperplanes = space.point_masks(n - 1)
-    pool = (1 << len(ok)) - 1
+    hyperplanes, through = space.point_masks(n - 1), space.incidence(n - 1, 1)
+    pool = reduce(or_, ok)
     changed = True
     while changed:
         changed = False
@@ -404,8 +405,9 @@ def _viable_lines(space, ok):
         while rest:
             low = rest & -rest
             rest ^= low
-            joins = ok[low.bit_length() - 1] & pool
-            if joins.bit_count() < n or any(joins & ~h == 0 for h in hyperplanes):
+            t = low.bit_length() - 1
+            joins = ok[t] & pool
+            if joins.bit_count() < n or any(joins & ~hyperplanes[h] == 0 for h in through[t]):
                 pool ^= low
                 changed = True
     return pool

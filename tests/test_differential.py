@@ -30,8 +30,13 @@ the map rebuilt and inverted per table and the plane table mapped again by
 spans as point masks, with echelon-basis enumerators; and `profile`, which
 reads point masks after one covering search, with the version that searched
 twice and met the members; and rank-based containment and basis extension
-with echelon bases.  The replaced implementations are kept here as reference
-oracles.
+with echelon bases; and `induces`, the independence scan and the star test,
+which find image sets by their point masks, with frozenset lookups; and
+`ftpg_reconstruct`, which scans independence only after a failed rebuild,
+with the scan-first order; and the viable lines, pooled from the set's
+points and tested against the hyperplanes through each line, with the pool
+of every line tested against every hyperplane.  The replaced implementations
+are kept here as reference oracles.
 """
 
 import copy
@@ -96,19 +101,22 @@ from qgrass.irregularity import (
 from qgrass.linalg import EchelonBasis, Mat
 from qgrass.maps import SemilinearMap, induced_map, induces
 from qgrass.reconstruction import (
+    AutomorphismMismatchError,
     ClassificationResult,
     NotDistancePreservingError,
+    NotIndependencePreservingError,
     NotRegularTransformationError,
     _line_descent,
     chow_classify,
     distance_violation,
     ftpg_reconstruct,
+    independence_violation,
     is_distance_preserving,
     is_regular_transformation,
     regular_classify,
     regular_violation,
 )
-from qgrass import irregularity, regularity
+from qgrass import irregularity, reconstruction, regularity
 from qgrass.regularity import (
     AxisProfile,
     AxisRecord,
@@ -127,6 +135,14 @@ from qgrass.regularity import (
 
 # ---------------------------------------------------------------------------
 # reference oracles
+
+
+@functools.lru_cache(maxsize=None)
+def plane_of_incidence(space, k, m):
+    """Reverse of `incidence(k, m)`: each row's frozenset to its G_m index,
+    the lookup that `induces`, the independence scan and the star test made
+    before they read point masks."""
+    return {frozenset(r): i for i, r in enumerate(space.incidence(k, m))}
 
 
 def family_violation(space, f):
@@ -206,8 +222,8 @@ def star_image_map(space, f, j):
     star-image dichotomy and raises.
     """
     gj1 = space.grassmannian(j - 1)
-    star_of = space.plane_of_incidence(j, j - 1)
-    top_of = space.plane_of_incidence(j, j + 1)
+    star_of = plane_of_incidence(space, j, j - 1)
+    top_of = plane_of_incidence(space, j, j + 1)
     kind = None
     table = []
     for row in space.incidence(j, j - 1):
@@ -521,7 +537,7 @@ def two_way_induces(space, f, m):
     gm = space.grassmannian(m)
     if k in (0, space.n):
         return None
-    plane_of = space.plane_of_incidence(k, m)
+    plane_of = plane_of_incidence(space, k, m)
     inv = f.inverse().table
     forward = []
     for row in space.incidence(k, m):
@@ -532,6 +548,68 @@ def two_way_induces(space, f, m):
     if len(set(forward)) != len(gm):
         return None
     return GrassmannMap(gm, gm, forward)
+
+
+def frozenset_induces(space, f, m):
+    """`induces` looking each image set up as a frozenset of G_k indices."""
+    k = f.domain.k
+    gm = space.grassmannian(m)
+    if k in (0, space.n):
+        return None
+    plane_of = plane_of_incidence(space, k, m)
+    forward = []
+    for row in space.incidence(k, m):
+        s = plane_of.get(frozenset(f.table[i] for i in row))
+        if s is None:
+            return None
+        forward.append(s)
+    return GrassmannMap(gm, gm, forward)
+
+
+def frozenset_independence_violation(space, f):
+    """`independence_violation` looking each image line set up as a
+    frozenset."""
+    n = space.n
+    if n < 3:
+        raise ValueError("independence preservation needs dimension >= 3")
+    if f.domain.k != 1 or f.codomain.k != 1:
+        raise ValueError("expected a transformation of the line Grassmannian")
+    hyperplane_of = plane_of_incidence(space, 1, n - 1)
+    inv = f.inverse().table
+    for hi, row in enumerate(space.incidence(1, n - 1)):
+        for t in (f.table, inv):
+            if frozenset(t[i] for i in row) not in hyperplane_of:
+                return space.grassmannian(n - 1)[hi]
+    return None
+
+
+def scan_first_reconstruct(space, f):
+    """`ftpg_reconstruct` in its earlier order: the frozenset independence
+    scan first, then the rebuild."""
+    witness = frozenset_independence_violation(space, f)
+    if witness is not None:
+        raise NotIndependencePreservingError(witness)
+    return reconstruction._rebuild(space, f)
+
+
+def full_pool_viable_lines(space, ok):
+    """`_viable_lines` starting from every line and testing each line's joins
+    against every hyperplane."""
+    n = space.n
+    hyperplanes = space.point_masks(n - 1)
+    pool = (1 << len(ok)) - 1
+    changed = True
+    while changed:
+        changed = False
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            joins = ok[low.bit_length() - 1] & pool
+            if joins.bit_count() < n or any(joins & ~h == 0 for h in hyperplanes):
+                pool ^= low
+                changed = True
+    return pool
 
 
 def echelon_incidences(space, small, big):
@@ -850,7 +928,7 @@ def induced_lift_descent(space, f):
     work = f
     if n == 2 * k:
         star = frozenset(f.table[i] for i in space.incidence(k, 1)[0])
-        if star in space.plane_of_incidence(k, n - 1):
+        if star in plane_of_incidence(space, k, n - 1):
             form = standard_symplectic(space.field, n)
             post = form_map(space, form, k)
             work = post.compose(f)
@@ -1283,6 +1361,137 @@ def test_one_way_induces_matches_two_way_check(q, n):
 
 # every ambient space whose incidence or distance tables the test suite builds
 TABLE_SPACES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3)]
+
+
+def reconstruction_outcome(reconstruct, space, f):
+    """The rebuilt map, or the type, message and witness of the error."""
+    try:
+        return reconstruct(space, f)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def line_tables(space, count, rng):
+    """Seeded induced line tables, each followed by eight transposed copies
+    and one shuffled copy."""
+    g1 = space.grassmannian(1)
+    for table in sampled_tables(space, 1, count, rng):
+        yield GrassmannMap(g1, g1, table)
+        for _ in range(8):
+            yield GrassmannMap(g1, g1, transposed(table, rng))
+        shuffled = list(table)
+        rng.shuffle(shuffled)
+        yield GrassmannMap(g1, g1, shuffled)
+
+
+def every_line_permutation_at_2_3():
+    g1 = Space.get(2, 3).grassmannian(1)
+    return [GrassmannMap(g1, g1, p) for p in permutations(range(len(g1)))]
+
+
+def test_mask_independence_scan_matches_frozenset_scan_on_every_permutation_at_2_3():
+    space = Space.get(2, 3)
+    witnesses = [independence_violation(space, f) for f in every_line_permutation_at_2_3()]
+    assert witnesses == [frozenset_independence_violation(space, f) for f in every_line_permutation_at_2_3()]
+    # the 168 collineations of the Fano plane preserve independence
+    assert witnesses.count(None) == 168
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES)
+def test_mask_independence_scan_matches_frozenset_scan_on_seeded_tables(q, n):
+    space = Space.get(q, n)
+    found = 0
+    for f in line_tables(space, 3, random.Random(f"independence:{q}:{n}")):
+        witness = independence_violation(space, f)
+        assert witness == frozenset_independence_violation(space, f)
+        found += witness is not None
+    assert found
+
+
+def test_rebuild_first_reconstruction_matches_scan_first_on_every_permutation_at_2_3():
+    space = Space.get(2, 3)
+    kinds = set()
+    for f in every_line_permutation_at_2_3():
+        got = reconstruction_outcome(ftpg_reconstruct, space, f)
+        assert got == reconstruction_outcome(scan_first_reconstruct, space, f)
+        kinds.add(got[0] if isinstance(got, tuple) else SemilinearMap)
+    assert kinds == {SemilinearMap, NotIndependencePreservingError}
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES)
+def test_rebuild_first_reconstruction_matches_scan_first_on_seeded_tables(q, n):
+    space = Space.get(q, n)
+    kinds = set()
+    for f in line_tables(space, 3, random.Random(f"rebuild-first:{q}:{n}")):
+        got = reconstruction_outcome(ftpg_reconstruct, space, f)
+        assert got == reconstruction_outcome(scan_first_reconstruct, space, f)
+        kinds.add(got[0] if isinstance(got, tuple) else SemilinearMap)
+    assert kinds == {SemilinearMap, NotIndependencePreservingError}
+
+
+def test_rebuild_error_stands_when_the_scan_names_no_hyperplane(monkeypatch):
+    # by the fundamental theorem no table reaches this branch; a scan that
+    # finds nothing lets the rebuild's own error through
+    space = Space.get(2, 4)
+    g1 = space.grassmannian(1)
+    bad = GrassmannMap(g1, g1, transposed(range(len(g1)), random.Random("rebuild-error")))
+    monkeypatch.setattr(reconstruction, "independence_violation", lambda space, f: None)
+    got = reconstruction_outcome(ftpg_reconstruct, space, bad)
+    assert got == reconstruction_outcome(reconstruction._rebuild, space, bad)
+    assert got[0] is AutomorphismMismatchError
+
+
+def test_ftpg_reconstruct_checks_arguments_before_any_rebuild(monkeypatch):
+    def no_rebuild(space, f):
+        raise AssertionError("rebuild reached")
+
+    monkeypatch.setattr(reconstruction, "_rebuild", no_rebuild)
+    plane = Space.get(2, 2)
+    space = Space.get(2, 4)
+    cases = [
+        (plane, GrassmannMap.identity(plane.grassmannian(1)), "dimension >= 3"),
+        (space, GrassmannMap.identity(space.grassmannian(2)), "line Grassmannian"),
+    ]
+    for sp, f, message in cases:
+        got = reconstruction_outcome(ftpg_reconstruct, sp, f)
+        assert got == reconstruction_outcome(scan_first_reconstruct, sp, f)
+        assert got[0] is ValueError and message in got[1]
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (3, 4), (4, 3)])
+def test_mask_induces_matches_frozenset_lookup(q, n):
+    space = Space.get(q, n)
+    rng = random.Random(f"mask-induces:{q}:{n}")
+    found = rejected = 0
+    for _ in range(2):
+        h = random_semilinear(space, rng)
+        for k in range(1, n):
+            f = induced_map(space, h, k)
+            for g in (f, GrassmannMap(f.domain, f.codomain, transposed(f.table, rng))):
+                for m in range(n + 1):
+                    if m != k:
+                        got = induces(space, g, m)
+                        assert got == frozenset_induces(space, g, m)
+                        found += got is not None
+                        rejected += got is None
+    assert found and rejected
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4), (3, 5)])
+def test_viable_lines_match_full_pool(q, n):
+    space = Space.get(q, n)
+    gk = space.grassmannian(2)
+    rng = random.Random(f"viable-pool:{q}:{n}")
+    pools = []
+    for band in range(10):
+        low, high = band * len(gk) // 10, (band + 1) * len(gk) // 10
+        for _ in range(4):
+            ok = _join_masks(PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(low, high))))
+            pool = regularity._viable_lines(space, ok)
+            assert pool == full_pool_viable_lines(space, ok)
+            pools.append(pool)
+    # sparse sets keep no line and dense ones many
+    assert 0 in pools and any(pools)
 
 
 @pytest.mark.parametrize("q,n", TABLE_SPACES)
