@@ -131,7 +131,11 @@ def _rebuild(space, f):
         if coords is None or coords[0] == 0:
             raise AutomorphismMismatchError("image line escapes its coordinate plane")
         sigma_table[a] = field.div(coords[1], coords[0])
-    sigma = next((c for c in field.automorphisms() if list(map(c, range(field.q))) == sigma_table), None)
+    sigma = None
+    for candidate in field.automorphisms():
+        if all(candidate(a) == sigma_table[a] for a in range(field.q)):
+            sigma = candidate
+            break
     if sigma is None:
         raise AutomorphismMismatchError("recovered action is not a field automorphism")
 
