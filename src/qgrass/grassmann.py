@@ -309,6 +309,7 @@ class Space:
         self._join_memo = {}
         self._thirds = {}
         self._vector_lines = None
+        self._line_steps = None
         self._dist = {}
         self._masks = {}
         self._mask_index = {}
@@ -449,6 +450,22 @@ class Space:
                 v: i for i, line in enumerate(self.grassmannian(1)) for v in line.vectors() if any(v)
             }
         return self._vector_lines
+
+    def _line_recurrence(self):
+        """For each line of G_1, (parent, j, a): its rref row is the parent
+        line's row plus a e_j, j being its last nonzero coordinate, or a e_j
+        itself when the parent is -1 (cached).  The parent's row is the
+        line's with that coordinate zeroed, so it precedes the line in key
+        order and one pass in G_1 order reaches every parent first."""
+        if self._line_steps is None:
+            line_of = self.vector_lines()
+            self._line_steps = steps = []
+            for line in self.grassmannian(1):
+                r = line.rows[0]
+                j = max(i for i, x in enumerate(r) if x)
+                head = r[:j] + (0,) * (self.n - j)
+                steps.append((line_of[head] if any(head) else -1, j, r[j]))
+        return self._line_steps
 
     def distance_matrix(self, k):
         """k - dim(a meet b) for every pair of G_k planes, read off the

@@ -91,15 +91,24 @@ class SemilinearMap:
 
 def induced_map(space, f, k):
     """The bijection of G_k defined by a semilinear map of the ambient space:
-    its line table, one vector mapped per line, lifted to G_k by `induces`."""
+    its line table, lifted to G_k by `induces`.  The line table walks
+    `Space._line_recurrence`: a line's row is its parent's plus a e_j, so
+    its image is the parent's image plus sigma(a) M e_j, one vector addition
+    per line, with the scaled columns built once per map."""
     if f.n != space.n or f.field.q != space.field.q:
         raise ValueError("map and space do not match")
     gk = space.grassmannian(k)
     if len(gk) == 1:
         return GrassmannMap.identity(gk)
     g1 = space.grassmannian(1)
-    line_of = space.vector_lines()
-    lines = GrassmannMap(g1, g1, (line_of[f.apply_vector(l.rows[0])] for l in g1))
+    field, sigma = space.field, f.sigma
+    add, mul = field._add, field._mul
+    columns = [[tuple([mul[sigma(a)][x] for x in col]) for a in field.elements] for col in zip(*f.matrix.rows)]
+    images = []
+    for parent, j, a in space._line_recurrence():
+        v = columns[j][a]
+        images.append(v if parent < 0 else tuple([add[x][y] for x, y in zip(images[parent], v)]))
+    lines = GrassmannMap(g1, g1, map(space.vector_lines().__getitem__, images))
     return lines if k == 1 else induces(space, lines, k)
 
 

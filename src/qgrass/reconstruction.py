@@ -82,21 +82,18 @@ def is_independence_preserving(space, f):
     return independence_violation(space, f) is None
 
 
-def _line_rep(space, f, v):
-    """Representative row of the image line of the line through v."""
-    return space.grassmannian(1)[f.table[space.vector_lines()[v]]].rows[0]
-
-
 def ftpg_reconstruct(space, f):
     """Reconstruct the semilinear map inducing a line transformation.
 
     Runs the classical argument constructively over the standard basis:
     rescale image representatives through the images of the lines of
     e_1 + e_i, read the coordinate automorphism off the images of the lines
-    of e_1 + a e_2, match it against the Frobenius powers, assemble the
-    matrix, and verify the induced table equals the input everywhere.  Only
-    when that fails is independence scanned (induced tables preserve it); a
-    hyperplane the scan names is raised in place of the rebuild's error.
+    of e_1 + a e_2 (each scale or value is the c with u + c v on the image
+    line, u and v independent, found by one line lookup per candidate c),
+    match it against the Frobenius powers, assemble the matrix, and verify
+    the induced table equals the input everywhere.  Only when that fails is
+    independence scanned (induced tables preserve it); a hyperplane the scan
+    names is raised in place of the rebuild's error.
     """
     _check_line_table(space, f)
     try:
@@ -112,25 +109,31 @@ def _rebuild(space, f):
     """The verified map of `ftpg_reconstruct`; a ValueError if none exists."""
     n = space.n
     field = space.field
+    add, mul = field._add, field._mul
+    line_of = space.vector_lines()
+
+    def coordinates(u, v, cs):  # the line of u + c v -> c, for c in cs
+        return {line_of[tuple([add[x][mul[c][y]] for x, y in zip(u, v)])]: c for c in cs}
+
+    def coordinate(found, v):  # the c whose line is the image of v's
+        c = found.get(f.table[line_of[v]])
+        if c is None:
+            raise AutomorphismMismatchError("image line escapes its coordinate plane")
+        return c
+
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    y_prime = [_line_rep(space, f, e) for e in unit]
+    y_prime = [space.grassmannian(1)[f.table[line_of[e]]].rows[0] for e in unit]
     ys = [y_prime[0]]
     for i in range(1, n):
-        mixed = _line_rep(space, f, tuple(field.add(a, b) for a, b in zip(unit[0], unit[i])))
-        coords = Mat(field, (y_prime[0], y_prime[i])).transpose().solve(mixed)
-        if coords is None or coords[0] == 0 or coords[1] == 0:
-            raise AutomorphismMismatchError("image line escapes its coordinate plane")
-        scale = field.div(coords[1], coords[0])
+        mixed = tuple(field.add(a, b) for a, b in zip(unit[0], unit[i]))
+        scale = coordinate(coordinates(y_prime[0], y_prime[i], range(1, field.q)), mixed)
         ys.append(tuple(field.mul(scale, x) for x in y_prime[i]))
 
-    sigma_table = [0] * field.q
-    base = Mat(field, (ys[0], ys[1])).transpose()
-    for a in range(1, field.q):
-        v = tuple(field.add(x, field.mul(a, y)) for x, y in zip(unit[0], unit[1]))
-        coords = base.solve(_line_rep(space, f, v))
-        if coords is None or coords[0] == 0:
-            raise AutomorphismMismatchError("image line escapes its coordinate plane")
-        sigma_table[a] = field.div(coords[1], coords[0])
+    sigma_of = coordinates(ys[0], ys[1], field.elements)
+    sigma_table = [
+        coordinate(sigma_of, tuple(field.add(x, field.mul(a, y)) for x, y in zip(unit[0], unit[1])))
+        for a in field.elements
+    ]
     sigma = None
     for candidate in field.automorphisms():
         if all(candidate(a) == sigma_table[a] for a in range(field.q)):

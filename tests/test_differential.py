@@ -35,8 +35,11 @@ which find image sets by their point masks, with frozenset lookups; and
 `ftpg_reconstruct`, which scans independence only after a failed rebuild,
 with the scan-first order; and the viable lines, pooled from the set's
 points and tested against the hyperplanes through each line, with the pool
-of every line tested against every hyperplane.  The replaced implementations
-are kept here as reference oracles.
+of every line tested against every hyperplane; and the line table built by
+one vector addition per line along `Space._line_recurrence` with one vector
+mapped per line, and the rebuild that reads its scales and automorphism by
+line lookups with the 2-column matrix solves it replaced.  The replaced
+implementations are kept here as reference oracles.
 """
 
 import copy
@@ -47,6 +50,7 @@ import pickle
 import random
 import sys
 from bisect import bisect_left
+from types import SimpleNamespace
 from itertools import combinations, islice, permutations, product, zip_longest
 from math import comb, factorial, prod
 from pathlib import Path
@@ -63,6 +67,7 @@ from qgrass.forms import (
     form_map,
     standard_symplectic,
 )
+from qgrass.gf import SUPPORTED_ORDERS
 from qgrass.grassmann import (
     GrassmannMap,
     PlaneSet,
@@ -590,6 +595,56 @@ def scan_first_reconstruct(space, f):
     if witness is not None:
         raise NotIndependencePreservingError(witness)
     return reconstruction._rebuild(space, f)
+
+
+def vector_line_table(space, f):
+    """The line table of a semilinear map with one vector mapped per line:
+    the image of each line's rref row, looked up in `vector_lines`."""
+    g1 = space.grassmannian(1)
+    line_of = space.vector_lines()
+    return GrassmannMap(g1, g1, (line_of[f.apply_vector(line.rows[0])] for line in g1))
+
+
+def solve_rebuild(space, f):
+    """`reconstruction._rebuild` reading each scale and automorphism value
+    off a 2-column matrix solve, and checked against `vector_line_table`."""
+
+    def line_rep(v):
+        return space.grassmannian(1)[f.table[space.vector_lines()[v]]].rows[0]
+
+    n = space.n
+    field = space.field
+    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    y_prime = [line_rep(e) for e in unit]
+    ys = [y_prime[0]]
+    for i in range(1, n):
+        mixed = line_rep(tuple(field.add(a, b) for a, b in zip(unit[0], unit[i])))
+        coords = Mat(field, (y_prime[0], y_prime[i])).transpose().solve(mixed)
+        if coords is None or coords[0] == 0 or coords[1] == 0:
+            raise AutomorphismMismatchError("image line escapes its coordinate plane")
+        scale = field.div(coords[1], coords[0])
+        ys.append(tuple(field.mul(scale, x) for x in y_prime[i]))
+
+    sigma_table = [0] * field.q
+    base = Mat(field, (ys[0], ys[1])).transpose()
+    for a in range(1, field.q):
+        v = tuple(field.add(x, field.mul(a, y)) for x, y in zip(unit[0], unit[1]))
+        coords = base.solve(line_rep(v))
+        if coords is None or coords[0] == 0:
+            raise AutomorphismMismatchError("image line escapes its coordinate plane")
+        sigma_table[a] = field.div(coords[1], coords[0])
+    sigma = None
+    for candidate in field.automorphisms():
+        if all(candidate(a) == sigma_table[a] for a in range(field.q)):
+            sigma = candidate
+            break
+    if sigma is None:
+        raise AutomorphismMismatchError("recovered action is not a field automorphism")
+
+    result = SemilinearMap(field, Mat(field, tuple(zip(*ys))), sigma)
+    if vector_line_table(space, result) != f:
+        raise AutomorphismMismatchError("reconstructed map does not reproduce the table")
+    return result
 
 
 def full_pool_viable_lines(space, ok):
@@ -1456,6 +1511,87 @@ def test_ftpg_reconstruct_checks_arguments_before_any_rebuild(monkeypatch):
         got = reconstruction_outcome(ftpg_reconstruct, sp, f)
         assert got == reconstruction_outcome(scan_first_reconstruct, sp, f)
         assert got[0] is ValueError and message in got[1]
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES + [(8, 3), (9, 3), (16, 3)])
+def test_line_recurrence_table_matches_one_vector_per_line(q, n):
+    space = Space.get(q, n)
+    rng = random.Random(f"line-recurrence:{q}:{n}")
+    for j in range(space.field.m):
+        for _ in range(3):
+            f = SemilinearMap(space.field, random_invertible(space.field, n, rng), space.field.frobenius(j))
+            assert induced_map(space, f, 1) == vector_line_table(space, f)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(q, 3) for q in SUPPORTED_ORDERS] + [(q, n) for q in (2, 3, 4) for n in (1, 2, 4, 5)]
+)
+def test_line_recurrence_steps_from_an_earlier_line(q, n):
+    space = Space.get(q, n)
+    g1 = space.grassmannian(1)
+    steps = space._line_recurrence()
+    assert len(steps) == len(g1)
+    for i, (parent, j, a) in enumerate(steps):
+        row = g1[i].rows[0]
+        base = g1[parent].rows[0] if parent >= 0 else (0,) * n
+        assert parent < i and a and not any(row[j + 1:]) and not base[j]
+        assert tuple(space.field.add(x, a if c == j else 0) for c, x in enumerate(base)) == row
+    assert sum(parent < 0 for parent, _, _ in steps) == n
+
+
+def rebuild_kinds(space, tables):
+    """Assert that the lookup rebuild and the solve rebuild agree on every
+    table; the set of result kinds and error messages met."""
+    kinds = set()
+    for f in tables:
+        got = reconstruction_outcome(reconstruction._rebuild, space, f)
+        assert got == reconstruction_outcome(solve_rebuild, space, f)
+        kinds.add(got[1] if isinstance(got, tuple) else "map")
+    return kinds
+
+
+REBUILD_ERRORS = {
+    "image line escapes its coordinate plane",
+    "recovered action is not a field automorphism",
+    "reconstructed map does not reproduce the table",
+}
+
+
+def test_lookup_rebuild_matches_solve_rebuild_on_every_permutation_at_2_3():
+    space = Space.get(2, 3)
+    kinds = rebuild_kinds(space, every_line_permutation_at_2_3())
+    # GF(2) has only the identity automorphism, so no table reaches that error
+    assert kinds == {"map"} | REBUILD_ERRORS - {"recovered action is not a field automorphism"}
+
+
+@pytest.mark.parametrize("q,n", TABLE_SPACES + [(8, 3), (9, 3)])
+def test_lookup_rebuild_matches_solve_rebuild_on_seeded_tables(q, n):
+    space = Space.get(q, n)
+    kinds = rebuild_kinds(space, line_tables(space, 3, random.Random(f"lookup-rebuild:{q}:{n}")))
+    assert "map" in kinds and kinds - {"map"} <= REBUILD_ERRORS
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (8, 3)])
+def test_lookup_rebuild_matches_solve_rebuild_on_merged_lines(q, n):
+    # every line the rebuild reads after e_1's, sent to e_1's image line:
+    # not bijections, so passed as bare tables; the scales read the lines of
+    # e_1 + e_i (c = 0 must not count), the automorphism those of e_1 + a e_2
+    # (c = 0 must count)
+    space = Space.get(q, n)
+    field = space.field
+    line_of = space.vector_lines()
+    e = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    read = [line_of[tuple(map(field.add, e[0], e[i]))] for i in range(1, n)]
+    read += [line_of[tuple(map(field.add, e[0], (0, a) + (0,) * (n - 2)))] for a in range(2, q)]
+    rng = random.Random(f"merged-lines:{q}:{n}")
+    tables = []
+    for table in sampled_tables(space, 1, 2, rng):
+        for line in read:
+            merged = list(table)
+            merged[line] = table[line_of[e[0]]]
+            tables.append(SimpleNamespace(table=tuple(merged)))
+    kinds = rebuild_kinds(space, tables)
+    assert "image line escapes its coordinate plane" in kinds and "map" not in kinds
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (3, 4), (4, 3)])

@@ -8,7 +8,11 @@ side, at (4,3,2), the adjacency-based classifier on a linear and on a
 form-composed (2,4,2) table and on linear (2,5,2) and (3,5,2) tables, a
 linear hyperplane table at (2,4,3), a corrupted (2,4,2) table and a (2,4,3)
 table with one transposition, whose witness comes from the walk over
-hyperplane systems.  The (3,5,2) output was recorded while the incidence and
+hyperplane systems.  Line tables of G_1(F_8^3) and G_1(F_16^3) with
+Frobenius exponents 2 and 3, each also with two lines' images transposed,
+pin the coordinate automorphism beyond GF(4); they were recorded while the
+rebuild still read scales and automorphisms off 2-column matrix solves and
+mapped one vector per line.  The (3,5,2) output was recorded while the incidence and
 distance tables were still built by row reduction (15 s per call), and both
 (4,3,2) and the transposed (2,4,3) outputs while hyperplane tables were
 still reconstructed by conjugation through a dot-form map.  The
@@ -51,6 +55,9 @@ CASES = {
     "classify-frobenius-4-3-2": ["classify", "--in", "frobenius-4-3-2.maptable"],
     "classify-swapped-2-4-3": ["classify", "--in", "swapped-2-4-3.maptable"],
 }
+for q in (8, 16):
+    for name in (f"frobenius-{q}-3-1", f"swapped-{q}-3-1"):
+        CASES[f"classify-{name}"] = ["classify", "--in", f"{name}.maptable"]
 for name in ("regular", "meeting", "superset"):
     for mode in ("regular", "irregular", "degree"):
         CASES[f"analyze-{name}-2-4-2-{mode}"] = [
