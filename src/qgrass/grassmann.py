@@ -592,6 +592,8 @@ class GrassmannMap:
         table = tuple(table)
         if len(table) != len(domain):
             raise ValueError("table length differs from domain size")
+        if table and (min(table) < 0 or max(table) >= len(codomain)):
+            raise ValueError("table entry out of codomain range")
         if len(set(table)) != len(codomain) or len(domain) != len(codomain):
             raise ValueError("table is not a bijection")
         self.domain = domain

@@ -45,11 +45,13 @@ class ClassificationResult(_Record):
     """Outcome of a classifier.
 
     kind "linear" means the table is induced by `map`; "form_composed" means
-    the table sends s to the `form`-orthogonal complement of map(s).  In both
-    cases `verified` records that the rebuilt table matched the input exactly.
+    the table sends s to the `form`-orthogonal complement of map(s).
+    `verified` is True on every returned result: the line table is compared
+    in full, and the plane table follows by the star argument of
+    `_line_descent`.
     """
 
-    kind: str                      # linear | form_composed | not_classifiable
+    kind: str                      # linear | form_composed
     map: SemilinearMap | None = None
     form: object | None = None
     verified: bool = False
@@ -197,40 +199,33 @@ def _line_descent(space, f):
     semilinear map sends the planes through a line to the planes through a
     line.  That form map is built once per space and is its own inverse.
     The (composed) table's action on lines is then read off in one step
-    with `induces` and reconstructed there.  `ftpg_reconstruct` checks that
-    the map induces exactly that line table, so the candidate for G_k is
-    lifted from the line table itself, composed back with the form map and
-    checked against the input table.  At k = n-1 the matrix is scaled by
-    the first nonzero entry of the first row of its inverse, the scalar
-    under which the hyperplane table was conjugated to a line table through
-    the dot form; scaling leaves the line table as it is.
+    with `induces` and reconstructed there, where `ftpg_reconstruct` checks
+    the line table in full.  The k-plane table follows without a check:
+    `induces` found that the table maps the star of each line l onto the
+    star of h(l), and a plane P lies in the star of each of its lines, so
+    its image contains every h(l), hence h(P), and equals it, both being
+    k-planes.  The form map is an involution, so a form-composed f is the
+    form map after h.  At k = n-1 the matrix is scaled by the first nonzero
+    entry of the first row of its inverse, the scalar under which the
+    hyperplane table was conjugated to a line table through the dot form;
+    scaling leaves the line table as it is.
     """
     k, n = f.domain.k, space.n
     if not 1 <= k <= n - 1:
         raise ValueError("classification needs 1 <= k <= n-1")
-    form = post = None
+    form = None
     work = f
     if k > 1 and n == 2 * k:
         # the star of line 0 has the size of G_k(H), since [2k-1, k-1]_q = [2k-1, k]_q
         if next(_row_planes(space, f.table, k, n - 1, space.incidence(k, 1)[:1])) is not None:
             form = standard_symplectic(space.field, n)
-            post = _symplectic_map(space)
-            work = post.compose(f)
+            work = _symplectic_map(space).compose(f)
     lines = work if k == 1 else induces(space, work, 1)
     if lines is None:
         raise RuntimeError("the table induces no transformation of the lines")
     h = ftpg_reconstruct(space, lines)
-    if k == 1:
-        # ftpg_reconstruct has checked the line table already
-        return ClassificationResult("linear", map=h, verified=True)
     if k == n - 1:
         h = h.scaled(next(x for x in h.matrix.inv().rows[0] if x))
-    candidate = induces(space, lines, k)
-    if post is not None:
-        candidate = post.compose(candidate)
-    if candidate != f:
-        bad = next(i for i in range(len(f.table)) if f.table[i] != candidate.table[i])
-        return ClassificationResult("not_classifiable", witness=(f.domain[bad],))
     kind = "linear" if form is None else "form_composed"
     return ClassificationResult(kind, map=h, form=form, verified=True)
 
@@ -239,12 +234,11 @@ def chow_classify(space, f):
     """Classify a distance-preserving transformation of G_k, 1 < k < n-1.
 
     The table is reconstructed first (`_line_descent`: descent to the line
-    Grassmannian, reconstruction there, table check).  A verified
-    reconstruction needs no distance scan: the table is induced by a
-    semilinear map, alone or followed by a form map, and both preserve
-    distance.  Only when the reconstruction fails are the distances
-    compared, to name a pair whose distance changes; without one the
-    reconstruction's own outcome stands.
+    Grassmannian and reconstruction there).  A reconstruction needs no
+    distance scan: the table is induced by a semilinear map, alone or
+    followed by a form map, and both preserve distance.  Only when the
+    reconstruction fails are the distances compared, to name a pair whose
+    distance changes; without one the reconstruction's error stands.
     """
     k = f.domain.k
     if not 1 < k < space.n - 1:
@@ -296,44 +290,34 @@ def _reconstruct(space, f):
     return _line_descent(space, f)
 
 
-def _try_reconstruct(space, f, reconstruct=_reconstruct):
-    """(result, failure) of `reconstruct`.  Every error a reconstruction can
-    raise is held back, because on a table that fails the scan the scan's
-    witness takes precedence over it."""
-    try:
-        return reconstruct(space, f), None
-    except (ValueError, RuntimeError) as exc:
-        return None, exc
-
-
 def _certify_first(space, f, reconstruct, violation, error):
-    """The verified result of `reconstruct`, or else `error` raised on the
-    witness of the `violation` scan, or else the reconstruction's own
-    outcome: its result, or the error it raised."""
-    result, failure = _try_reconstruct(space, f, reconstruct)
-    if result is not None and result.verified:
-        return result
-    witness = violation(space, f)
-    if witness is not None:
-        raise error(witness)
-    if failure is not None:
-        raise failure
-    return result
+    """The result of `reconstruct`, or else `error` raised on the witness of
+    the `violation` scan, or else the error the reconstruction raised."""
+    try:
+        return reconstruct(space, f)
+    except (ValueError, RuntimeError):
+        witness = violation(space, f)
+        if witness is None:
+            raise
+    raise error(witness)
 
 
 def is_regular_transformation(space, f):
-    result, _ = _try_reconstruct(space, f)
-    return (result is not None and result.verified) or regular_violation(space, f) is None
+    try:
+        _reconstruct(space, f)
+    except (ValueError, RuntimeError):
+        return regular_violation(space, f) is None
+    return True
 
 
 def regular_classify(space, f):
     """Classify a regular transformation of G_k.
 
-    The table is reconstructed first.  A verified reconstruction certifies
+    The table is reconstructed first.  A reconstruction certifies
     regularity: a semilinear map, alone or followed by a form map, carries
     maximal regular sets to maximal regular sets both ways.  Only when the
     reconstruction fails are the maximal regular sets walked, to name a
-    witness; without one the reconstruction's own outcome stands.
+    witness; without one the reconstruction's error stands.
     """
     try:
         return _certify_first(space, f, _reconstruct, regular_violation, NotRegularTransformationError)

@@ -77,6 +77,14 @@ def test_map_table_rejects_non_bijection():
         read_map_table(io.StringIO(text))
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_map_table_entry_out_of_range_is_a_parse_error(tmp_path, capsys, bad):
+    path = tmp_path / "range.maptable"
+    path.write_text("maptable 2 3 1 1\n" + "".join(f"{i}\n" for i in [*range(6), bad]))
+    assert main(["classify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "parse-error table entry out of codomain range\n"
+
+
 def test_cmd_enumerate_count(capsys):
     assert main(["enumerate", "--q", "2", "--n", "4", "--k", "2", "--count-only"]) == 0
     out = capsys.readouterr().out

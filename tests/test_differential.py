@@ -23,10 +23,11 @@ through a dot-form map that it replaced; and the axis views of
 `hypergraph_view` read off point masks with one `Subspace.contains` per
 member and line; and the k = 2 search on the viable lines with the same
 search over every line; and the result records, built on one slotted base,
-with frozen dataclasses of the same fields; and the lift of the
-reconstructed line table to G_k, with the cached symplectic form map, with
-the map rebuilt and inverted per table and the plane table mapped again by
-`induced_map`; and the similarity search's matrix enumerators, which carry
+with frozen dataclasses of the same fields; and the descent, which checks
+only the line table, with the descent that also mapped the plane table
+again by `induced_map` and compared it with the input, and wherever it
+classifies, the plane table lifted from its line table with the input; and
+the similarity search's matrix enumerators, which carry
 spans as point masks, with echelon-basis enumerators; and `profile`, which
 reads point masks after one covering search, with the version that searched
 twice and met the members; and rank-based containment and basis extension
@@ -842,15 +843,19 @@ def similarity(sim):
     return sim.kind, sim.reason, None if sim.witness is None else sim.witness.table
 
 
-def linear_tables(space, k):
-    """Every transformation table of G_k induced by an invertible matrix."""
+def linear_tables(space, k, count=None, rng=None):
+    """Every transformation table of G_k induced by an invertible matrix, or
+    the tables of `count` matrices drawn by `rng`."""
     g1 = space.grassmannian(1)
     line_of = {v: i for i, line in enumerate(g1) for v in line.vectors() if any(v)}
     planes = space.grassmannian(k)
+    matrices = _invertible_matrices(space.field, space.n)
+    if count is not None:
+        matrices = rng.sample(list(matrices), count)
     return sorted(
         {
             tuple(space.line_join_index([line_of[m.apply(r)] for r in s.rows], k) for s in planes)
-            for m in _invertible_matrices(space.field, space.n)
+            for m in matrices
         }
     )
 
@@ -974,10 +979,10 @@ def test_line_descent_matches_star_walk(q, n, k, count, corruptions):
 
 
 def induced_lift_descent(space, f):
-    """The descent at 1 < k as it was before the lift read the line table:
+    """The descent at 1 < k as it was before it checked only the line table:
     the symplectic form map is built again for each form-composed table and
     inverted, and the candidate is mapped again from the reconstructed
-    matrix by `induced_map`."""
+    matrix by `induced_map` and compared with the input."""
     k, n = f.domain.k, space.n
     form = post = None
     work = f
@@ -1012,8 +1017,41 @@ def result_or_error(classify, space, f):
         return type(exc), str(exc), getattr(exc, "witness", None)
 
 
+def line_table_lift(space, f, kind):
+    """The table of G_k lifted from the line table of f, read as the
+    descent reads it: through the symplectic form map for a form-composed
+    result."""
+    post = _symplectic_map(space) if kind == "form_composed" else None
+    work = f if post is None else post.compose(f)
+    lift = induces(space, induces(space, work, 1), f.domain.k)
+    return lift if post is None else post.compose(lift)
+
+
+def lift_tables(space, k, count, corruptions, rng):
+    """`count` sampled tables, each followed by `corruptions` seeded
+    transpositions of it; on G_2(F_2^4) and G_3(F_2^4) also seeded linear
+    tables (on G_2 also each composed with the symplectic form map), and on
+    G_2(F_2^4) every single transposition of the first table."""
+    tables = []
+    for table in sampled_tables(space, k, count, rng):
+        tables += [table] + [transposed(table, rng) for _ in range(corruptions)]
+    if (space.field.q, space.n) == (2, 4):
+        post = _symplectic_map(space).table
+        for table in linear_tables(space, k, 200, rng):
+            tables += [table, [post[i] for i in table]] if k == 2 else [table]
+    if (space.field.q, space.n, k) == (2, 4, 2):
+        first = tables[0]
+        for a, b in combinations(range(len(first)), 2):
+            t = list(first)
+            t[a], t[b] = t[b], t[a]
+            tables.append(t)
+    return tables
+
+
 # per space a few sampled tables (every second one composed with a form map
-# at n = 2k), each with seeded transpositions
+# at n = 2k), each with seeded transpositions, and at n = 4 the tables of
+# `lift_tables`; wherever the descent returns, the plane table lifted from
+# the line table equals the input, so the descent needs no lift of its own
 @pytest.mark.parametrize(
     "q,n,k,count,corruptions",
     [
@@ -1026,12 +1064,13 @@ def test_line_table_lift_matches_induced_map_lift(q, n, k, count, corruptions):
     gk = space.grassmannian(k)
     rng = random.Random(f"lift:{q}:{n}:{k}")
     kinds = set()
-    for table in sampled_tables(space, k, count, rng):
-        for t in [table] + [transposed(table, rng) for _ in range(corruptions)]:
-            f = GrassmannMap(gk, gk, t)
-            got = result_or_error(_line_descent, space, f)
-            assert got == result_or_error(induced_lift_descent, space, f)
-            kinds.add(got.kind if isinstance(got, ClassificationResult) else got[0])
+    for t in lift_tables(space, k, count, corruptions, rng):
+        f = GrassmannMap(gk, gk, t)
+        got = result_or_error(_line_descent, space, f)
+        assert got == result_or_error(induced_lift_descent, space, f)
+        if isinstance(got, ClassificationResult):
+            assert line_table_lift(space, f, got.kind) == f
+        kinds.add(got.kind if isinstance(got, ClassificationResult) else got[0])
     assert {"linear", "form_composed"} & kinds == ({"linear", "form_composed"} if n == 2 * k else {"linear"})
     # every transposed table is refused one way or another
     assert len(kinds) > (2 if n == 2 * k else 1)

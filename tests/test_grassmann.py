@@ -5,6 +5,7 @@ import pytest
 
 from qgrass.gf import field
 from qgrass.grassmann import (
+    GrassmannMap,
     PlaneSet,
     Space,
     Subspace,
@@ -275,6 +276,22 @@ def test_plane_set_operations():
     assert a.difference(b).indices == (0, 1)
     assert b.issubset(a.union(b))
     assert len(a.complement()) == 32
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 1), (2, 4, 2), (2, 5, 2)])
+def test_grassmann_map_refuses_entries_outside_the_codomain(q, n, k):
+    g = sp(q, n).grassmannian(k)
+    size = len(g)
+    # the out-of-range entry replaces the last one, so the entries stay distinct
+    for bad in (-1, size):
+        with pytest.raises(ValueError, match="table entry out of codomain range"):
+            GrassmannMap(g, g, [*range(size - 1), bad])
+    with pytest.raises(ValueError, match="table is not a bijection"):
+        GrassmannMap(g, g, [0, *range(size - 1)])
+    ident = GrassmannMap.identity(g)
+    shift = GrassmannMap(g, g, [*range(1, size), 0])
+    assert shift.compose(shift.inverse()) == ident
+    assert shift.inverse().table == (size - 1, *range(size - 1))
 
 
 def test_subspace_vectors_and_contains():
