@@ -6,12 +6,13 @@ hyperbolic basis for symplectic forms.
 
 from __future__ import annotations
 
+from functools import cache
 
 from .linalg import Mat, SingularMatrixError
-from .grassmann import GrassmannMap, PlaneSet, Subspace, _Record
+from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, _Record, meet
 
 # Above this many vectors the definitional pairwise reflexivity scan is
-# replaced by the subspace double-complement criterion.
+# replaced by the double-complement criterion on lines.
 _REFLEXIVE_SCAN_LIMIT = 4096
 
 
@@ -98,8 +99,6 @@ def standard_symplectic(field, n):
 
 def _line_reps(form):
     """One nonzero vector per line; scaling never changes vanishing of the form."""
-    from .grassmann import Space
-
     sp = Space.get(form.field.q, form.n)
     return [s.rows[0] for s in sp.grassmannian(1)]
 
@@ -114,7 +113,9 @@ def is_reflexive(form):
     """Om(x, y) = 0 iff Om(y, x) = 0 for all pairs.
 
     Scanned over projective representatives when feasible, otherwise via
-    the double-complement criterion over all subspaces.
+    the double-complement criterion on lines: for a nonsingular form,
+    (<x>^perp)^perp is a line, and it contains x exactly when Om(x, y) = 0
+    implies Om(y, x) = 0 for every y.
     """
     f = form.field
     if f.q ** form.n <= _REFLEXIVE_SCAN_LIMIT:
@@ -127,14 +128,8 @@ def is_reflexive(form):
         return True
     if not form.is_nonsingular():
         raise ValueError("double-complement reflexivity scan needs a nonsingular form")
-    from .grassmann import Space
-
-    sp = Space.get(f.q, form.n)
-    for k in range(1, form.n):
-        for s in sp.grassmannian(k):
-            if orth_complement(form, orth_complement(form, s)) != s:
-                return False
-    return True
+    lines = Space.get(f.q, form.n).grassmannian(1)
+    return all(orth_complement(form, orth_complement(form, s)) == s for s in lines)
 
 
 class FormPredicates(_Record):
@@ -250,17 +245,14 @@ def form_map(space, form, k):
     return GrassmannMap(gk, gnk, (gnk.index(orth_complement(form, s)) for s in gk))
 
 
+@cache
 def _symplectic_map(space):
     """The standard symplectic form map of G_k at n = 2k, built once per space.
 
     The form is alternating, so the map is an involution: it is its own
     inverse.  `form_map` itself keeps no cache, since its callers pass
     arbitrary forms."""
-    fmap = space._symplectic
-    if fmap is None:
-        form = standard_symplectic(space.field, space.n)
-        fmap = space._symplectic = form_map(space, form, space.n // 2)
-    return fmap
+    return form_map(space, standard_symplectic(space.field, space.n), space.n // 2)
 
 
 class SymplecticBasis(_Record):
@@ -300,8 +292,6 @@ def symplectic_basis(form):
 
 def _symplectic_rec(form, frame):
     """Recurse inside the span of frame rows (ambient coordinates)."""
-    from .grassmann import meet
-
     if not frame:
         return [], []
     f = form.field

@@ -9,7 +9,9 @@ their Grassmannians are cached so incidence tables are shared.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, compress, product
+from operator import index
 
 from .gf import field as get_field
 from .linalg import Mat, _rref_rows
@@ -305,17 +307,8 @@ class Space:
         self.field = field
         self.n = n
         self._grassmannians = {}
-        self._incidence = {}
         self._join_memo = {}
         self._thirds = {}
-        self._vector_lines = None
-        self._line_steps = None
-        self._dist = {}
-        self._masks = {}
-        self._mask_index = {}
-        self._systems = None
-        self._mr_family = {}
-        self._symplectic = None
 
     @classmethod
     def get(cls, q, n):
@@ -344,15 +337,12 @@ class Space:
     def full_subspace(self):
         return self.grassmannian(self.n)[0]
 
+    @cache
     def incidence(self, k, m):
         """For each s in G_m, the sorted tuple of G_k indices incident to s
-        (contained in s when k < m, containing s when k > m)."""
+        (contained in s when k < m, containing s when k > m; cached)."""
         if k == m:
             raise ValueError("incidence needs distinct dimensions")
-        key = (k, m)
-        table = self._incidence.get(key)
-        if table is not None:
-            return table
         if k == 1 and m >= 1:
             # the points of each plane: the span of the lines of its rref rows
             line_of = self.vector_lines()
@@ -362,14 +352,11 @@ class Space:
                 for row in s.rows:
                     mask, points = self.span_with(mask, points, line_of[row])
                 table.append(tuple(sorted(points)))
-        else:
-            small, big = self.point_masks(min(k, m)), self.point_masks(max(k, m))
-            if k < m:
-                table = [tuple(i for i, a in enumerate(small) if a & b == a) for b in big]
-            else:
-                table = [tuple(i for i, b in enumerate(big) if a & b == a) for a in small]
-        self._incidence[key] = table
-        return table
+            return table
+        small, big = self.point_masks(min(k, m)), self.point_masks(max(k, m))
+        if k < m:
+            return [tuple(i for i, a in enumerate(small) if a & b == a) for b in big]
+        return [tuple(i for i, b in enumerate(big) if a & b == a) for a in small]
 
     def line_join_index(self, line_indices, k):
         """G_k index of the join of the given lines, or None if dim < k."""
@@ -384,29 +371,23 @@ class Space:
         idx = memo[key] = self.mask_index(k).get(mask)
         return idx
 
+    @cache
     def point_masks(self, k):
         """For each plane of G_k, the bitmask over G_1 indices of its points
         (cached).  Set operations on masks are lattice operations on planes:
         a lies in b when a & b == a, and the meet of a and b has dimension e
         when a & b has (q^e - 1)/(q - 1) points."""
-        masks = self._masks.get(k)
-        if masks is None:
-            g = self.grassmannian(k)
-            if k == 0:
-                masks = [0]
-            elif k == 1:
-                masks = [1 << i for i in range(len(g))]
-            else:
-                masks = [sum(1 << p for p in row) for row in self.incidence(1, k)]
-            self._masks[k] = masks
-        return masks
+        g = self.grassmannian(k)
+        if k == 0:
+            return [0]
+        if k == 1:
+            return [1 << i for i in range(len(g))]
+        return [sum(1 << p for p in row) for row in self.incidence(1, k)]
 
+    @cache
     def mask_index(self, k):
         """Dict from each G_k point mask to its G_k index (cached)."""
-        rev = self._mask_index.get(k)
-        if rev is None:
-            rev = self._mask_index[k] = {a: i for i, a in enumerate(self.point_masks(k))}
-        return rev
+        return {a: i for i, a in enumerate(self.point_masks(k))}
 
     def span_with(self, mask, points, t):
         """Extend the span of some lines by the line t outside it.
@@ -442,40 +423,35 @@ class Space:
         )
         return sum(1 << p for p in pts), pts
 
+    @cache
     def vector_lines(self):
         """Dict from each nonzero vector of F^n to the G_1 index of its line
         (cached)."""
-        if self._vector_lines is None:
-            self._vector_lines = {
-                v: i for i, line in enumerate(self.grassmannian(1)) for v in line.vectors() if any(v)
-            }
-        return self._vector_lines
+        return {v: i for i, line in enumerate(self.grassmannian(1)) for v in line.vectors() if any(v)}
 
+    @cache
     def _line_recurrence(self):
         """For each line of G_1, (parent, j, a): its rref row is the parent
         line's row plus a e_j, j being its last nonzero coordinate, or a e_j
         itself when the parent is -1 (cached).  The parent's row is the
         line's with that coordinate zeroed, so it precedes the line in key
         order and one pass in G_1 order reaches every parent first."""
-        if self._line_steps is None:
-            line_of = self.vector_lines()
-            self._line_steps = steps = []
-            for line in self.grassmannian(1):
-                r = line.rows[0]
-                j = max(i for i, x in enumerate(r) if x)
-                head = r[:j] + (0,) * (self.n - j)
-                steps.append((line_of[head] if any(head) else -1, j, r[j]))
-        return self._line_steps
+        line_of = self.vector_lines()
+        steps = []
+        for line in self.grassmannian(1):
+            r = line.rows[0]
+            j = max(i for i, x in enumerate(r) if x)
+            head = r[:j] + (0,) * (self.n - j)
+            steps.append((line_of[head] if any(head) else -1, j, r[j]))
+        return steps
 
+    @cache
     def distance_matrix(self, k):
         """k - dim(a meet b) for every pair of G_k planes, read off the
         popcount of their point masks (cached)."""
-        d = self._dist.get(k)
-        if d is None:
-            dist_of = {gaussian_binomial(e, 1, self.field.q): k - e for e in range(k + 1)}
-            masks = self.point_masks(k)
-            d = self._dist[k] = [[dist_of[(a & b).bit_count()] for b in masks] for a in masks]
-        return d
+        dist_of = {gaussian_binomial(e, 1, self.field.q): k - e for e in range(k + 1)}
+        masks = self.point_masks(k)
+        return [[dist_of[(a & b).bit_count()] for b in masks] for a in masks]
 
     def __repr__(self):
         return f"Space(GF({self.field.q})^{self.n})"
@@ -589,7 +565,7 @@ class GrassmannMap:
     __slots__ = ("domain", "codomain", "table")
 
     def __init__(self, domain, codomain, table):
-        table = tuple(table)
+        table = tuple(map(index, table))   # TypeError for an entry that is no integer
         if len(table) != len(domain):
             raise ValueError("table length differs from domain size")
         if table and (min(table) < 0 or max(table) >= len(codomain)):

@@ -48,6 +48,7 @@ from .irregularity import (
 )
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map
+from .reconstruction import ftpg_reconstruct, is_independence_preserving
 from .regularity import (
     CoordinateSystem,
     _degree,
@@ -323,8 +324,6 @@ def check_prop_1_4_2(q, n, k, rng):
 def check_thm_1_3_1(q, n, k, rng):
     """Exhaustive fundamental-theorem run: the independence-preserving line
     transformations are exactly the semilinearly induced ones."""
-    from .reconstruction import ftpg_reconstruct, is_independence_preserving
-
     _require((q, n) == (2, 3), "(q, n) = (2, 3)")
     space = Space.get(q, n)
     g1 = space.grassmannian(1)

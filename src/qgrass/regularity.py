@@ -10,8 +10,8 @@ when some system has every member among its coordinate k-planes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
-from itertools import combinations
+from functools import cache, reduce
+from itertools import combinations, islice
 from math import comb
 from operator import and_, or_
 
@@ -95,7 +95,7 @@ class CoordinateSystem:
         return f"CoordinateSystem(n={self.space.n}, lines={self.line_indices})"
 
 
-def _covering_system_indices(space, plane_set, limit=None):
+def _covering_system_indices(space, plane_set):
     """Yield line-index tuples of systems whose coordinate k-planes cover the
     given planes, in ascending (canonical) order.
 
@@ -120,7 +120,6 @@ def _covering_system_indices(space, plane_set, limit=None):
         for t in lines:
             line_planes[t].append(pi)
     counts = [0] * len(targets)
-    yielded = 0
 
     def feasible(next_start, slots):
         for pi, lines in enumerate(targets):
@@ -134,13 +133,9 @@ def _covering_system_indices(space, plane_set, limit=None):
         return True
 
     def rec(start, chosen, basis):
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
         depth = len(chosen)
         if depth == n:
             if all(c == k for c in counts):
-                yielded += 1
                 yield tuple(chosen)
             return
         slots = n - depth
@@ -155,20 +150,20 @@ def _covering_system_indices(space, plane_set, limit=None):
                 yield from rec(t + 1, chosen + (t,), nb)
             for pi in hit:
                 counts[pi] -= 1
-            if limit is not None and yielded >= limit:
-                return
 
     yield from rec(0, (), EchelonBasis(space.field))
 
 
 def associated_systems(plane_set, limit=None):
     """All coordinate systems whose coordinate k-planes contain every member,
-    in canonical order; empty exactly when the set is not regular."""
+    in canonical order; empty exactly when the set is not regular.  With a
+    limit, the first `limit` of them (none when it is negative): the search
+    stops at the last one taken."""
     space = plane_set.gr.space
-    return [
-        CoordinateSystem.from_line_indices(space, idxs)
-        for idxs in _covering_system_indices(space, plane_set, limit)
-    ]
+    found = _covering_system_indices(space, plane_set)
+    if limit is not None:
+        found = islice(found, max(limit, 0))
+    return [CoordinateSystem.from_line_indices(space, idxs) for idxs in found]
 
 
 def is_regular(plane_set):
@@ -413,22 +408,13 @@ def _viable_lines(space, ok):
     return pool
 
 
+@cache
 def all_coordinate_systems(space):
     """Every coordinate system of the space, canonically ordered (cached)."""
-    if space._systems is None:
-        space._systems = [
-            CoordinateSystem.from_line_indices(space, idxs)
-            for idxs in _systems_within(space, 1, [-1])
-        ]
-    return space._systems
+    return [CoordinateSystem.from_line_indices(space, idxs) for idxs in _systems_within(space, 1, [-1])]
 
 
+@cache
 def maximal_regular_family(space, k):
     """All maximal regular subsets of G_k as frozensets of indices (cached)."""
-    fam = space._mr_family.get(k)
-    if fam is None:
-        fam = space._mr_family[k] = tuple(
-            frozenset(sys_.coordinate_planes(k).indices)
-            for sys_ in all_coordinate_systems(space)
-        )
-    return fam
+    return tuple(frozenset(sys_.coordinate_planes(k).indices) for sys_ in all_coordinate_systems(space))

@@ -1090,6 +1090,7 @@ def test_space_keeps_one_symplectic_map_across_classifications_and_similarity():
     space = Space.get(2, 4)
     g2 = space.grassmannian(2)
     fm = _symplectic_map(space)
+    builds = _symplectic_map.cache_info().misses
     rng = random.Random("one-form-map")
     kinds = set()
     for table in sampled_tables(space, 2, 20, rng):
@@ -1099,7 +1100,8 @@ def test_space_keeps_one_symplectic_map_across_classifications_and_similarity():
         left = PlaneSet(g2, rng.sample(range(len(g2)), 3))
         assert are_similar(left, f.apply_set(left)).kind == "yes"
     assert kinds == {"linear", "form_composed"}
-    assert space._symplectic is fm
+    assert _symplectic_map(space) is fm
+    assert _symplectic_map.cache_info().misses == builds
 
 
 def walk_regular_count(k):

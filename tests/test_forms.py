@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qgrass.forms import (
+    _REFLEXIVE_SCAN_LIMIT,
     BilinearForm,
     annihilator,
     classify_reflexive,
@@ -113,6 +114,56 @@ def test_classify_not_reflexive():
     om = BilinearForm(f, Mat(f, [(1, 1, 0), (0, 1, 1), (0, 0, 1)]))
     assert not is_reflexive(om)
     assert classify_reflexive(om).kind == "not_reflexive"
+
+
+def seeded_gram(f, n, kind, frob, rng):
+    """A random n x n Gram matrix that is symmetric, alternating, hermitian
+    under frob, or unconstrained."""
+    fixed = [x for x in f.elements if frob(x) == x]
+    rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            a = rows[i][j]
+            rows[j][i] = {"symmetric": a, "alternating": f.neg(a), "hermitian": frob(a)}.get(kind, rows[j][i])
+        if kind == "alternating":
+            rows[i][i] = 0
+        elif kind == "hermitian":
+            rows[i][i] = rng.choice(fixed)
+    return Mat(f, rows)
+
+
+def all_subspace_double_complement(form):
+    """(S^perp)^perp = S for every proper nonzero subspace S."""
+    sp = Space.get(form.field.q, form.n)
+    return all(
+        orth_complement(form, orth_complement(form, s)) == s for k in range(1, form.n) for s in sp.grassmannian(k)
+    )
+
+
+def test_line_double_complement_matches_all_subspaces():
+    # (9, 4) is the one space above the scan limit whose every G_k can be enumerated
+    f = field(9)
+    assert f.q ** 4 > _REFLEXIVE_SCAN_LIMIT
+    frob = f.automorphisms()[1]
+    rng = random.Random("reflexive-lines")
+    forms = []
+    for kind in ("symmetric", "alternating", "hermitian", "generic"):
+        gram = seeded_gram(f, 4, kind, frob, rng)
+        while gram.rank() < 4:
+            gram = seeded_gram(f, 4, kind, frob, rng)
+        if kind == "hermitian":
+            sigmas = (None, frob)
+        else:
+            sigmas = (rng.choice(f.automorphisms()), rng.choice(f.automorphisms()))
+        forms.append(BilinearForm(f, gram, *sigmas).scaled(rng.randrange(1, f.q)))
+    verdicts = [is_reflexive(om) for om in forms]
+    assert verdicts == [all_subspace_double_complement(om) for om in forms]
+    assert True in verdicts and False in verdicts
+
+
+def test_reflexivity_above_the_scan_limit_needs_only_lines():
+    # G_2 of F_7^5 has 140,050 planes, more than can be enumerated
+    assert is_reflexive(dot_form(field(7), 5))
 
 
 def test_orth_complement_extremes():

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from qgrass.forms import _symplectic_map
 from qgrass.gf import field
 from qgrass.grassmann import (
     GrassmannMap,
@@ -18,6 +19,7 @@ from qgrass.grassmann import (
     maximal_adjacent_families,
     meet,
 )
+from qgrass.regularity import all_coordinate_systems, maximal_regular_family
 
 
 def sp(q, n):
@@ -288,10 +290,43 @@ def test_grassmann_map_refuses_entries_outside_the_codomain(q, n, k):
             GrassmannMap(g, g, [*range(size - 1), bad])
     with pytest.raises(ValueError, match="table is not a bijection"):
         GrassmannMap(g, g, [0, *range(size - 1)])
+    for table in ([float(i) for i in range(size)], [*range(size - 1), size - 1.0]):
+        with pytest.raises(TypeError):
+            GrassmannMap(g, g, table)
+    # entries of another integer type are stored as ints
+    assert GrassmannMap(g, g, [True, False, *range(2, size)]).table == (1, 0, *range(2, size))
     ident = GrassmannMap.identity(g)
     shift = GrassmannMap(g, g, [*range(1, size), 0])
     assert shift.compose(shift.inverse()) == ident
     assert shift.inverse().table == (size - 1, *range(size - 1))
+
+
+def test_per_space_tables_are_built_once_per_space_and_arguments():
+    # spaces made outside Space.get, so no other test has built their tables
+    space, other = Space(field(2), 4), Space(field(2), 4)
+    builds = [
+        lambda sp: sp.incidence(1, 2),
+        lambda sp: sp.incidence(2, 1),
+        lambda sp: sp.incidence(3, 2),
+        lambda sp: sp.point_masks(2),
+        lambda sp: sp.point_masks(3),
+        lambda sp: sp.mask_index(2),
+        lambda sp: sp.vector_lines(),
+        lambda sp: sp._line_recurrence(),
+        lambda sp: sp.distance_matrix(2),
+        all_coordinate_systems,
+        lambda sp: maximal_regular_family(sp, 2),
+        lambda sp: maximal_regular_family(sp, 3),
+        _symplectic_map,
+    ]
+    tables = [build(space) for build in builds]
+    for build, table in zip(builds, tables):
+        assert build(space) is table
+        own = build(other)
+        assert own is not table and own == table
+    # each argument tuple has its own table
+    assert len({id(t) for t in tables}) == len(tables)
+    assert space.incidence(k=1, m=2) == tables[0]
 
 
 def test_subspace_vectors_and_contains():

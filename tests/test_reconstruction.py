@@ -229,8 +229,8 @@ def test_form_map_built_only_for_form_composed_tables(monkeypatch):
     fm = form_map(space, standard_symplectic(space.field, 4), 2)
     cases.append((space, fm.compose(linear), 1))
     cases.append((space, fm.compose(induced_map(space, random_semilinear(space, rng), 2)), 0))
-    # spaces are shared across tests, so start this one with an empty slot
-    monkeypatch.setattr(space, "_symplectic", None)
+    # spaces are shared across tests, so start this one with no symplectic map built
+    forms._symplectic_map.cache_clear()
     monkeypatch.setattr(forms, "form_map", counted)
     for space, f, builds in cases:
         k = f.domain.k
@@ -242,7 +242,8 @@ def test_form_map_built_only_for_form_composed_tables(monkeypatch):
         assert verified == (f is not corrupted)
         assert calls == [k] * builds, (space.field.q, space.n, k)
         calls.clear()
-    assert space._symplectic == fm
+    assert forms._symplectic_map(space) == fm
+    assert calls == []
 
 
 def test_regular_transformation_examples():

@@ -292,3 +292,19 @@ def test_exact_nonmaximal_sets_exist():
     assert shapes  # exact non-maximal regular sets exist at n = 4, k = 2
     # the large-set degree theorems force at least threshold size
     assert {len(s) for s in shapes} == {4, 5}
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 1), (2, 4, 2), (2, 4, 3), (3, 3, 1)])
+def test_limit_takes_a_prefix_of_the_associated_systems(q, n, k):
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"limit-{q}-{n}-{k}")
+    for _ in range(8):
+        planes = rng.choice(all_coordinate_systems(space)).coordinate_planes(k).indices
+        ps = PlaneSet(gk, rng.sample(planes, rng.randint(0, len(planes))))
+        stray = PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(1, n)))
+        for sample in (ps, stray, ps.union(stray)):
+            systems = associated_systems(sample)
+            for m in range(4):
+                assert associated_systems(sample, limit=m) == systems[:m]
+            assert associated_systems(sample, limit=-1) == []
