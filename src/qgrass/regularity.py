@@ -9,14 +9,13 @@ when some system has every member among its coordinate k-planes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache, reduce
 from itertools import combinations, islice
-from math import comb
+from math import comb, factorial, prod
 from operator import and_, or_
+from weakref import WeakValueDictionary
 
-from .grassmann import PlaneSet, Subspace, _Record, _subspace_of_mask, incidence_set
-from .linalg import EchelonBasis
+from .grassmann import PlaneSet, Subspace, TooLargeError, _Record, _subspace_of_mask, incidence_set
 
 
 class NotRegularError(ValueError):
@@ -43,7 +42,7 @@ class CoordinateSystem:
     """An unordered set of n independent lines of F^n, held as the ascending
     tuple of their G_1 indices (G_1 is in `Subspace.key` order)."""
 
-    __slots__ = ("space", "line_indices")
+    __slots__ = ("space", "line_indices", "__weakref__")
 
     def __init__(self, space, lines):
         lines = tuple(sorted(lines, key=Subspace.key))
@@ -96,74 +95,74 @@ class CoordinateSystem:
 
 
 def _covering_system_indices(space, plane_set):
-    """Yield line-index tuples of systems whose coordinate k-planes cover the
-    given planes, in ascending (canonical) order.
-
-    A selection is pruned as soon as some plane cannot reach k chosen lines
-    inside it with the candidates that remain.  A set of more than C(n, k)
-    planes, the number of coordinate k-planes of one system, is covered by
-    none, and no search is run.
-    """
-    n = space.n
-    k = plane_set.gr.k
+    """Line-index tuples of systems whose coordinate k-planes cover the given
+    planes, in canonical order; an iterator.  The walk is that of
+    `_systems_within`, with each plane still short held as its point mask and
+    the lines it needs: choosing t is pruned when one needs more lines than
+    the free slots or than its mask holds above t outside the new span, and
+    the last line lies in all of them (none for the zero plane, whose mask is
+    empty).  No search is run on more than C(n, k) planes, one system's
+    coordinate k-planes."""
+    n, k = space.n, plane_set.gr.k
     if len(plane_set) > comb(n, k):
-        return
-    g1 = space.grassmannian(1)
-    nlines = len(g1)
-    if k == 1:
-        lines_in = [(i,) for i in range(nlines)]
-    else:
-        lines_in = space.incidence(1, k)
-    targets = [lines_in[p] for p in plane_set.indices]
-    line_planes = [[] for _ in range(nlines)]
-    for pi, lines in enumerate(targets):
-        for t in lines:
-            line_planes[t].append(pi)
-    counts = [0] * len(targets)
+        return iter(())
+    # by free slots: the lines with enough lines after them
+    nlines = len(space.grassmannian(1))
+    tails = [0] + [(1 << (nlines - slots + 1)) - 1 for slots in range(1, n + 1)]
 
-    def feasible(next_start, slots):
-        for pi, lines in enumerate(targets):
-            need = k - counts[pi]
-            if need <= 0:
-                continue
-            if need > slots:
-                return False
-            if need > len(lines) - bisect_left(lines, next_start):
-                return False
-        return True
+    def extend(chosen, mask, points, short, above):
+        slots = n - len(chosen)
+        cand = ~mask & above & tails[slots]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            span, span_points = space.span_with(mask, points, t)
+            above_t = -(low << 1)
+            free = above_t & ~span
+            left = []
+            for plane, need in short:
+                if plane & low and need == 1:
+                    continue
+                need -= plane >> t & 1
+                if need >= slots or (plane & free).bit_count() < need:
+                    break
+                left.append((plane, need))
+            else:
+                if slots > 2:
+                    yield from extend(chosen + (t,), span, span_points, left, above_t)
+                    continue
+                # each bit of `last` completes a system (t itself at n = 1)
+                last, head = (free & tails[1], chosen + (t,)) if slots == 2 else (low, chosen)
+                for plane, _ in left:
+                    last &= plane
+                while last:
+                    bit = last & -last
+                    last ^= bit
+                    yield head + (bit.bit_length() - 1,)
 
-    def rec(start, chosen, basis):
-        depth = len(chosen)
-        if depth == n:
-            if all(c == k for c in counts):
-                yield tuple(chosen)
-            return
-        slots = n - depth
-        for t in range(start, nlines - slots + 1):
-            nb = basis.copy()
-            if not nb.add(g1[t].rows[0]):
-                continue
-            hit = line_planes[t]
-            for pi in hit:
-                counts[pi] += 1
-            if feasible(t + 1, slots - 1):
-                yield from rec(t + 1, chosen + (t,), nb)
-            for pi in hit:
-                counts[pi] -= 1
+    masks = space.point_masks(k)
+    return extend((), 0, (), [(masks[p], k) for p in plane_set.indices], -1)
 
-    yield from rec(0, (), EchelonBasis(space.field))
+
+@cache
+def _shared_systems(space):
+    """The live associated systems of the space by line indices (cached)."""
+    return WeakValueDictionary()
 
 
 def associated_systems(plane_set, limit=None):
     """All coordinate systems whose coordinate k-planes contain every member,
     in canonical order; empty exactly when the set is not regular.  With a
     limit, the first `limit` of them (none when it is negative): the search
-    stops at the last one taken."""
+    stops at the last one taken.  Systems are shared, so callers must not
+    assign to them: while one is held, every result naming it holds it."""
     space = plane_set.gr.space
     found = _covering_system_indices(space, plane_set)
     if limit is not None:
         found = islice(found, max(limit, 0))
-    return [CoordinateSystem.from_line_indices(space, idxs) for idxs in found]
+    shared = _shared_systems(space)
+    return [shared.get(i) or shared.setdefault(i, CoordinateSystem.from_line_indices(space, i)) for i in found]
 
 
 def is_regular(plane_set):
@@ -408,9 +407,17 @@ def _viable_lines(space, ok):
     return pool
 
 
+_MAX_SYSTEMS = 100_000     # keeps F_2^5 (83,328 systems) and F_3^4 (63,180)
+
+
 @cache
 def all_coordinate_systems(space):
-    """Every coordinate system of the space, canonically ordered (cached)."""
+    """Every coordinate system of the space, canonically ordered (cached).
+    Above `_MAX_SYSTEMS` of them, |GL(n, q)| / ((q - 1)^n n!) (ordered bases
+    up to scaling and order), `TooLargeError` is raised before any search."""
+    q, n = space.field.q, space.n
+    if (count := prod(q**n - q**i for i in range(n)) // ((q - 1) ** n * factorial(n))) > _MAX_SYSTEMS:
+        raise TooLargeError(f"F_{q}^{n} has {count} coordinate systems, above {_MAX_SYSTEMS}")
     return [CoordinateSystem.from_line_indices(space, idxs) for idxs in _systems_within(space, 1, [-1])]
 
 

@@ -5,7 +5,9 @@ capped at 400 MB, with a 60 s timeout.
 The middle-dimension witness walk of `regular_violation` must not hold a
 plane set per coordinate system (G_2(F_3^5) has 123,845,436 systems), and
 the similarity filter must not read the whole distance matrix (11,011^2
-entries at G_2(F_3^6)); either raises `MemoryError` under the cap.
+entries at G_2(F_3^6)); either raises `MemoryError` under the cap.  The
+list of every coordinate system is refused with `TooLargeError` before it
+is searched (27,998,208 systems of F_2^6).
 """
 
 from test_cli import run_child
@@ -52,4 +54,27 @@ def test_are_similar_at_g2_f3_6_under_a_memory_cap():
     assert out.stdout.splitlines() == [
         "inconclusive: regular group too large to enumerate",
         "no: pairwise distance multisets differ",
+    ]
+
+
+ALL_SYSTEMS = CAP + """
+from qgrass.grassmann import Space, TooLargeError
+from qgrass.regularity import all_coordinate_systems, maximal_regular_family
+for q, n in ((2, 6), (3, 5)):
+    for build in (all_coordinate_systems, lambda space: maximal_regular_family(space, 2)):
+        try:
+            build(Space.get(q, n))
+        except TooLargeError as exc:
+            print(exc)
+"""
+
+
+def test_all_coordinate_systems_refuses_f2_6_and_f3_5_under_a_memory_cap():
+    out = run_child(["-c", ALL_SYSTEMS], timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == [
+        "F_2^6 has 27998208 coordinate systems, above 100000",
+        "F_2^6 has 27998208 coordinate systems, above 100000",
+        "F_3^5 has 123845436 coordinate systems, above 100000",
+        "F_3^5 has 123845436 coordinate systems, above 100000",
     ]

@@ -1995,24 +1995,99 @@ def test_size_guard_matches_unguarded_covering_search(q, n, k):
         assert bool(got) == (len(ps) <= comb(n, k))     # the coordinate-plane sets are regular
 
 
-def test_size_guard_runs_no_echelon_work(monkeypatch):
+def counted_span_with(monkeypatch):
+    """Patch `Space.span_with` to record the line of each call; the record."""
     calls = []
-    add = EchelonBasis.add
+    span_with = Space.span_with
 
-    def counted(self, v):
-        calls.append(v)
-        return add(self, v)
+    def counted(self, mask, points, t):
+        calls.append(t)
+        return span_with(self, mask, points, t)
 
-    monkeypatch.setattr(EchelonBasis, "add", counted)
+    monkeypatch.setattr(Space, "span_with", counted)
+    return calls
+
+
+def test_size_guard_runs_no_span_work(monkeypatch):
+    cases = []
     for q, n, k in [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 4, 1)]:
         space, sets = guard_sets(q, n, k, random.Random(f"guard-work:{q}:{n}:{k}"))
+        space.point_masks(k)     # built before counting: a table build spans lines too
+        cases.append((comb(n, k), sets))
+    calls = counted_span_with(monkeypatch)
+    for top, sets in cases:
         for ps in sets:
             calls.clear()
             found = associated_systems(ps)
-            if len(ps) > comb(n, k):
+            if len(ps) > top:
                 assert found == [] and calls == []
             else:
                 assert found and calls      # the counter sees a search that runs
+
+
+@pytest.mark.parametrize(
+    "q,n,k,members,systems,spans",
+    [
+        (2, 4, 2, (0, 1, 2), 8, 68),
+        (2, 4, 1, (0, 1), 48, 35),
+        (2, 5, 2, (0, 1, 2, 7), 32, 181),     # four coordinate planes of the first system
+        (3, 4, 2, (0, 1, 2, 13), 3, 355),
+    ],
+)
+def test_covering_search_span_work(monkeypatch, q, n, k, members, systems, spans):
+    # deterministic work counts: a lost pruning rule, or a last line spanned
+    # rather than read off the candidates, changes them
+    space = Space.get(q, n)
+    ps = PlaneSet(space.grassmannian(k), members)
+    space.point_masks(k)
+    calls = counted_span_with(monkeypatch)
+    assert (len(list(_covering_system_indices(space, ps))), len(calls)) == (systems, spans)
+
+
+def covering_sets(space, k, rng):
+    """Seeded sets for the covering search: subsets of a random system's
+    coordinate planes, the same with stray planes added, and the seeded
+    irregular sets."""
+    gk = space.grassmannian(k)
+    sets = []
+    for _ in range(6):
+        lines = [Subspace.span(space.field, space.n, [r]) for r in random_invertible(space.field, space.n, rng).rows]
+        planes = CoordinateSystem(space, lines).coordinate_planes(k).indices
+        regular = PlaneSet(gk, rng.sample(planes, rng.randint(1, len(planes))))
+        sets.append(regular)
+        sets.append(regular.union(PlaneSet(gk, rng.sample(range(len(gk)), rng.randint(1, 2)))))
+    return sets + irregular_sets(space, k, rng)
+
+
+def assert_covering_search_matches_echelon_oracle(space, plane_sets):
+    for ps in plane_sets:
+        got = list(_covering_system_indices(space, ps))
+        assert got == list(unguarded_covering_system_indices(space, ps)), ps.indices
+        systems = associated_systems(ps)
+        assert [s.line_indices for s in systems] == got
+        for m in range(4):
+            assert associated_systems(ps, limit=m) == systems[:m]
+
+
+def test_covering_search_matches_echelon_oracle_on_small_sets():
+    g1 = Space.get(2, 4).grassmannian(1)
+    assert_covering_search_matches_echelon_oracle(
+        g1.space, (PlaneSet(g1, c) for size in range(5) for c in combinations(range(len(g1)), size))
+    )
+    for k, top in ((0, 1), (2, 2), (3, 3)):
+        gk = Space.get(2, 4).grassmannian(k)
+        assert_covering_search_matches_echelon_oracle(
+            gk.space, (PlaneSet(gk, c) for size in range(top + 1) for c in combinations(range(len(gk)), size))
+        )
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 5, 1), (3, 3, 1)])
+def test_covering_search_matches_echelon_oracle_on_seeded_sets(q, n, k):
+    space = Space.get(q, n)
+    sets = covering_sets(space, k, random.Random(f"covering:{q}:{n}:{k}"))
+    regular = sum(regularity.is_regular(ps) is not None for ps in sets)
+    assert 0 < regular < len(sets)
+    assert_covering_search_matches_echelon_oracle(space, sets)
 
 
 def contains_hypergraph_view(plane_set, system):

@@ -1,11 +1,15 @@
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from qgrass.grassmann import PlaneSet, Space, join
+from qgrass.gf import field
+from qgrass.grassmann import PlaneSet, Space, TooLargeError, join
 from qgrass.harness import random_semilinear
+from qgrass import regularity
 from qgrass.regularity import (
     CoordinateSystem,
     NotRegularError,
@@ -51,6 +55,32 @@ def test_system_count_2_4():
     # number of unordered independent line quadruples of GF(2)^4:
     # |GL(4,2)| / 4! = 20160 / 24
     assert len(all_coordinate_systems(Space.get(2, 4))) == 840
+
+
+def test_system_count_closed_form(monkeypatch):
+    # |GL(n, q)| / ((q - 1)^n n!), read off the refusal under a zero cap; the
+    # spaces are made outside Space.get, so no cached list answers first
+    monkeypatch.setattr(regularity, "_MAX_SYSTEMS", 0)
+    counts = {(2, 2): 3, (2, 3): 28, (3, 3): 234, (4, 3): 1_120, (2, 4): 840, (2, 5): 83_328,
+              (3, 4): 63_180, (2, 6): 27_998_208, (3, 5): 123_845_436}
+    for (q, n), count in counts.items():
+        with pytest.raises(TooLargeError, match=f"^F_{q}\\^{n} has {count} coordinate systems, above 0$"):
+            all_coordinate_systems(Space(field(q), n))
+        if count < 2_000:
+            assert sum(1 for _ in regularity._systems_within(Space.get(q, n), 1, [-1])) == count
+
+
+def test_oversized_system_lists_are_refused_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(regularity, "_systems_within", no_search)
+    for q, n in [(2, 6), (3, 5), (4, 4)]:
+        space = Space.get(q, n)
+        with pytest.raises(TooLargeError, match="coordinate systems"):
+            all_coordinate_systems(space)
+        with pytest.raises(TooLargeError):
+            regularity.maximal_regular_family(space, 2)
 
 
 def test_empty_set_is_regular():
@@ -308,3 +338,49 @@ def test_limit_takes_a_prefix_of_the_associated_systems(q, n, k):
             for m in range(4):
                 assert associated_systems(sample, limit=m) == systems[:m]
             assert associated_systems(sample, limit=-1) == []
+
+
+def test_associated_systems_are_shared_while_held():
+    space = Space.get(2, 4)
+    ps = PlaneSet(space.grassmannian(2), (0, 1, 2))
+    systems = associated_systems(ps)
+    again = associated_systems(ps)
+    assert len(systems) == 8 and all(a is b for a, b in zip(systems, again))
+    assert is_regular(ps) is systems[0] and associated_systems(ps, limit=2)[1] is systems[1]
+    for system in systems:
+        built = CoordinateSystem(space, system.lines)
+        assert built is not system and built == system and hash(built) == hash(system)
+
+
+def test_shared_systems_leave_the_table_when_dropped():
+    # a space made outside Space.get, so no other test holds its systems
+    space = Space(field(2), 4)
+    table = regularity._shared_systems(space)
+    assert len(all_coordinate_systems(space)) == 840 and len(table) == 0
+    systems = associated_systems(PlaneSet(space.grassmannian(2), (0, 1, 2)))
+    assert sorted(table.keys()) == [s.line_indices for s in systems]
+    kept = systems[3]
+    del systems
+    gc.collect()
+    assert list(table.keys()) == [kept.line_indices] and table[kept.line_indices] is kept
+    del kept
+    gc.collect()
+    assert len(table) == 0
+
+
+def test_held_associated_systems_retain_less_memory():
+    # 2,000 held results of an 8-system set: 2,176,184 bytes at a fresh
+    # CoordinateSystem per result and system, 258,200 with shared systems
+    # (tracemalloc, CPython 3.11, x86-64); the bound is half the first
+    ps = PlaneSet(Space.get(2, 4).grassmannian(2), (0, 1, 2))
+    associated_systems(ps)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [associated_systems(ps) for _ in range(2000)]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2000 and kept < 2_176_184 // 2
