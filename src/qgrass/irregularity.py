@@ -25,7 +25,7 @@ from .grassmann import (
 )
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import CoordinateSystem, _systems_within, is_regular
+from .regularity import _shared_system, _systems_within, is_regular
 
 STATUS_REGULAR = "regular-in-sub"
 STATUS_IRREGULAR = "irregular-in-sub"
@@ -55,7 +55,7 @@ def _first_system(plane_set, ok, forced=None):
     """The first system of `_systems_within` on the set's join masks, or None."""
     space = plane_set.gr.space
     idxs = next(_systems_within(space, plane_set.gr.k, ok, forced), None)
-    return None if idxs is None else CoordinateSystem.from_line_indices(space, idxs)
+    return None if idxs is None else _shared_system(space, idxs)
 
 
 def _completing_planes(plane_set, ok):

@@ -40,7 +40,8 @@ def _independent(space, lines):
 
 class CoordinateSystem:
     """An unordered set of n independent lines of F^n, held as the ascending
-    tuple of their G_1 indices (G_1 is in `Subspace.key` order)."""
+    tuple of their G_1 indices (G_1 is in `Subspace.key` order).  Read-only,
+    as `associated_systems` hands the same object to every caller."""
 
     __slots__ = ("space", "line_indices", "__weakref__")
 
@@ -48,18 +49,28 @@ class CoordinateSystem:
         lines = tuple(sorted(lines, key=Subspace.key))
         if len(lines) != space.n or any(l.k != 1 for l in lines):
             raise ValueError(f"a coordinate system needs {space.n} lines")
-        self.line_indices = tuple(space.grassmannian(1).index(l) for l in lines)
-        if not _independent(space, self.line_indices):
+        indices = tuple(space.grassmannian(1).index(l) for l in lines)
+        if not _independent(space, indices):
             raise ValueError("coordinate lines must be independent")
-        self.space = space
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "line_indices", indices)
 
     @classmethod
     def from_line_indices(cls, space, indices):
         """The system of an ascending tuple of independent line indices, as
         the searches yield them; not re-checked."""
         system = cls.__new__(cls)
-        system.space, system.line_indices = space, indices
+        object.__setattr__(system, "space", space)
+        object.__setattr__(system, "line_indices", indices)
         return system
+
+    def __reduce__(self):
+        return type(self).from_line_indices, (self.space, self.line_indices)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def lines(self):
@@ -147,22 +158,28 @@ def _covering_system_indices(space, plane_set):
 
 @cache
 def _shared_systems(space):
-    """The live associated systems of the space by line indices (cached)."""
+    """The live systems of the space that searches returned, by line indices
+    (cached)."""
     return WeakValueDictionary()
+
+
+def _shared_system(space, indices):
+    """The system of the line indices, the one already held if there is one."""
+    shared = _shared_systems(space)
+    return shared.get(indices) or shared.setdefault(indices, CoordinateSystem.from_line_indices(space, indices))
 
 
 def associated_systems(plane_set, limit=None):
     """All coordinate systems whose coordinate k-planes contain every member,
     in canonical order; empty exactly when the set is not regular.  With a
     limit, the first `limit` of them (none when it is negative): the search
-    stops at the last one taken.  Systems are shared, so callers must not
-    assign to them: while one is held, every result naming it holds it."""
+    stops at the last one taken.  Systems are shared and read-only: while
+    one is held, every result naming it holds it."""
     space = plane_set.gr.space
     found = _covering_system_indices(space, plane_set)
     if limit is not None:
         found = islice(found, max(limit, 0))
-    shared = _shared_systems(space)
-    return [shared.get(i) or shared.setdefault(i, CoordinateSystem.from_line_indices(space, i)) for i in found]
+    return [_shared_system(space, i) for i in found]
 
 
 def is_regular(plane_set):
@@ -303,13 +320,16 @@ def _systems_within(space, k, ok, forced=None):
     chosen lines to a plane of the set, and accepting t ANDs in the entry of
     each (k-1)-plane that t spans with k-2 chosen lines.  The candidates at a
     node are the bits of `compat & ~span` above the last chosen line, leaving
-    out those with fewer candidates after them than free slots.  The node
-    that picks the last but one line yields the systems itself: each
-    candidate for the last slot completes one, with no span or narrowing.
-    An unforced search at k = 2 starts from `_viable_lines` instead of every
-    line.
+    out those with fewer candidates after them than free slots.  A chosen
+    line is narrowed before it is spanned, and spanned only when the child
+    keeps a candidate outside the parent's span (bit-parallel filtering,
+    Knuth, TAOCP 4A, 7.1.3).  The node that picks the last but one line
+    yields the systems itself: each candidate for the last slot completes
+    one, with no span or narrowing.  An unforced search at k = 2 starts from
+    `_viable_lines` instead of every line; a forced one starts from each
+    independent k-subset of the forced plane's points, whose span is the
+    plane itself, with set-up kept per plane (`_forced_start`).
     """
-    nlines = len(space.grassmannian(1))
     n = space.n
     join_idx = space.line_join_index
     span_with = space.span_with
@@ -329,14 +349,17 @@ def _systems_within(space, k, ok, forced=None):
             low = cand & -cand
             cand ^= low
             t = low.bit_length() - 1
-            if slots > 2:
-                yield from extend(
-                    chosen + (t,), *span_with(mask, points, t), narrow(compat, chosen, t), -(low << 1)
-                )
-                continue
-            # the systems are yielded here: each bit of `last` completes one
-            if slots == 2:
-                last = narrow(compat, chosen, t) & ~span_with(mask, points, t)[0] & -(low << 1) & tails[1]
+            if slots > 1:
+                narrowed = narrow(compat, chosen, t)
+                # the child's candidates lie in `last`: a child with none is neither spanned nor run
+                last = narrowed & ~mask & -(low << 1) & tails[slots - 1]
+                if not last:
+                    continue
+                if slots > 2:
+                    yield from extend(chosen + (t,), *span_with(mask, points, t), narrowed, -(low << 1))
+                    continue
+                # the systems are yielded here: each bit of `last` completes one
+                last &= ~span_with(mask, points, t)[0]
                 head = chosen + (t,)
             else:
                 last, head = low, chosen
@@ -345,36 +368,46 @@ def _systems_within(space, k, ok, forced=None):
                 last ^= bit
                 yield head + (bit.bit_length() - 1,)
 
-    def tail_masks(cands):
-        # by free slots: the lines up to the last candidate that leaves enough candidates after it
-        return [0] + [(2 << cands[-slots]) - 1 if slots <= len(cands) else 0 for slots in range(1, n + 1)]
-
-    def through_forced():
-        for base in combinations(lines_in, k):
-            mask, points, compat = 0, (), start
+    def through_forced(mask, points, bases):
+        for base in bases:
+            compat = start
             for i, t in enumerate(base):
-                if mask >> t & 1:
-                    break
-                mask, points = span_with(mask, points, t)
                 compat = narrow(compat, base[:i], t)
-            else:
-                if k == n:      # the forced plane is the whole space: the base is a system
-                    yield base
-                for system in extend(base, mask, points, compat, -1):
-                    yield tuple(sorted(system))
+            if k == n:      # the forced plane is the whole space: the base is a system
+                yield base
+            for system in extend(base, mask, points, compat, -1):
+                yield tuple(sorted(system))
 
     start = ok[0] if k == 1 else -1     # -1: every line
     if forced is None:
         if k == 2:
             start = _viable_lines(space, ok)
         # fewer than n candidates leave every tail empty: no search is run
-        tails = tail_masks([t for t in range(nlines) if start >> t & 1])
+        tails = _tail_masks(n, [t for t in range(len(space.grassmannian(1))) if start >> t & 1])
         # returned, not delegated to: one generator level less on every yield
         return extend((), 0, (), start, -1)
-    lines_in = (forced,) if k == 1 else space.incidence(1, k)[forced]
-    inside = set(lines_in)
-    tails = tail_masks([t for t in range(nlines) if t not in inside])
-    return through_forced()
+    tails, mask, points, bases = _forced_start(space, k, forced)
+    return through_forced(mask, points, bases)
+
+
+def _tail_masks(n, cands):
+    """By free slots, up to n: the lines up to the last candidate that leaves
+    enough candidates after it (none when there are too few)."""
+    return [0] + [(2 << cands[-slots]) - 1 if slots <= len(cands) else 0 for slots in range(1, n + 1)]
+
+
+@cache
+def _forced_start(space, k, forced):
+    """Where a search forced through the plane `forced` of G_k starts: the
+    tail masks over the lines outside it, its span (point mask and points),
+    and the independent k-subsets of its points, each of which spans it
+    (cached)."""
+    mask = space.point_masks(k)[forced]
+    points = (forced,) if k == 1 else space.incidence(1, k)[forced]
+    outside = [t for t in range(len(space.grassmannian(1))) if not mask >> t & 1]
+    # two distinct points are independent lines; three may be collinear
+    bases = [base for base in combinations(points, k) if k < 3 or _independent(space, base)]
+    return _tail_masks(space.n, outside), mask, points, bases
 
 
 def _viable_lines(space, ok):

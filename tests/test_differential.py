@@ -1322,6 +1322,23 @@ def test_completion_matches_echelon_search(q, n, k):
     assert 0 < witnesses < outside
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 5, 1), (2, 5, 4), (3, 3, 1), (2, 5, 3)])
+def test_completion_witness_matches_echelon_search_at_every_dimension(q, n, k):
+    # the forced search's k = 1 branch and, from k = 3 on, its independent bases
+    space = Space.get(q, n)
+    gk = space.grassmannian(k)
+    rng = random.Random(f"forced:{q}:{n}:{k}")
+    outside = witnesses = 0
+    for size in (n - 1, n, 2 * n, len(gk) // 2, len(gk) - n):
+        ps = PlaneSet(gk, rng.sample(range(len(gk)), size))
+        for l in ps.complement().indices:
+            want = next(echelon_systems_within(space, k, ps.iset, forced=l), None)
+            assert line_indices(completion_witness(ps, l)) == want
+            outside += 1
+            witnesses += want is not None
+    assert 0 < witnesses < outside
+
+
 @pytest.mark.parametrize(
     "q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 4, 3), (2, 5, 1), (2, 5, 4), (3, 3, 1)]
 )
@@ -1754,14 +1771,30 @@ def test_mask_degree_matches_per_candidate_search_on_seeded_sets(q, n):
     assert_same_degree(sets)
 
 
-def test_mask_degree_matches_per_candidate_search_on_benchmark_sets():
+def benchmark_sets(workload, count):
+    """The plane sets of the first `count` seed-0 specs of a perfbench
+    workload class, by class name."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    w = workloads.RegularDegree()
-    specs = w.generate(random.Random(f"{w.name}:0"), None)[:240]
-    assert_same_degree(w.materialize(s) for s in specs)
+    w = getattr(workloads, workload)()
+    return [w.materialize(s) for s in w.generate(random.Random(f"{w.name}:0"), None)[:count]]
+
+
+def test_mask_degree_matches_per_candidate_search_on_benchmark_sets():
+    assert_same_degree(benchmark_sets("RegularDegree", 240))
+
+
+def test_maximality_and_completion_match_echelon_search_on_benchmark_sets():
+    irregular = 0
+    for ps in benchmark_sets("IrregularDecide", 60):
+        if is_irregular(ps):
+            irregular += 1
+            want = echelon_complete(ps)
+            assert complete_to_maximal_irregular(ps) == want
+            assert is_maximal_irregular(ps) == (want == ps)
+    assert irregular == 46
 
 
 def test_degree_runs_one_covering_search(monkeypatch):
@@ -2042,6 +2075,43 @@ def test_covering_search_span_work(monkeypatch, q, n, k, members, systems, spans
     space.point_masks(k)
     calls = counted_span_with(monkeypatch)
     assert (len(list(_covering_system_indices(space, ps))), len(calls)) == (systems, spans)
+
+
+@pytest.mark.parametrize(
+    "q,n,k,step,counts",
+    [
+        (2, 4, 2, 2, [(6, 6), (2, 2), (3, 3), (7, 6)]),
+        (2, 4, 2, 3, [(0, 1), (1, 1), (0, 1), (1, 5)]),
+        (2, 5, 2, 2, [(30, 41), (6, 10), (8, 13), (20, 34)]),
+        (2, 5, 2, 3, [(0, 1), (1, 5), (0, 2), (0, 25)]),
+        (3, 4, 2, 2, [(85, 41), (38, 25), (169, 57), (118, 55)]),
+        (3, 4, 2, 3, [(12, 12), (9, 4), (9, 4), (9, 4)]),
+    ],
+)
+def test_forced_search_span_work(monkeypatch, q, n, k, step, counts):
+    # (systems, spans) of the searches forced through the first four planes
+    # outside every step-th plane: a base line spanned, or a child spanned
+    # before its candidates are checked, changes them
+    space = Space.get(q, n)
+    ps = PlaneSet(space.grassmannian(k), range(0, len(space.grassmannian(k)), step))
+    ok, forced = _join_masks(ps), ps.complement().indices[:4]
+    for l in forced:
+        list(_systems_within(space, k, ok, l))      # tables and per-plane set-up built before counting
+    calls = counted_span_with(monkeypatch)
+    work = []
+    for l in forced:
+        calls.clear()
+        work.append((len(list(_systems_within(space, k, ok, l))), len(calls)))
+    assert work == counts
+
+
+def test_all_systems_walk_span_work(monkeypatch):
+    # a line whose child keeps no candidate outside the span so far is not
+    # spanned: 6 of the walk's 426 chosen lines
+    space = Space.get(2, 4)
+    space.point_masks(1)
+    calls = counted_span_with(monkeypatch)
+    assert (len(list(every_system(space))), len(calls)) == (840, 420)
 
 
 def covering_sets(space, k, rng):

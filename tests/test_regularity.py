@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
@@ -9,6 +11,7 @@ import pytest
 from qgrass.gf import field
 from qgrass.grassmann import PlaneSet, Space, TooLargeError, join
 from qgrass.harness import random_semilinear
+from qgrass.irregularity import completion_witness, contains_maximal_regular
 from qgrass import regularity
 from qgrass.regularity import (
     CoordinateSystem,
@@ -350,6 +353,39 @@ def test_associated_systems_are_shared_while_held():
     for system in systems:
         built = CoordinateSystem(space, system.lines)
         assert built is not system and built == system and hash(built) == hash(system)
+
+
+def test_search_results_share_systems():
+    space = Space.get(2, 4)
+    planes = all_coordinate_systems(space)[5].coordinate_planes(2)
+    (system,) = associated_systems(planes)
+    assert contains_maximal_regular(planes) is system
+    rest = PlaneSet(space.grassmannian(2), planes.indices[1:])
+    assert completion_witness(rest, planes.indices[0]) is system
+
+
+def test_coordinate_systems_are_read_only():
+    space = Space.get(2, 4)
+    ps = PlaneSet(space.grassmannian(2), (0, 1, 2))
+    systems = associated_systems(ps)
+    held = [s.line_indices for s in systems]
+    for system in (systems[0], CoordinateSystem(space, systems[0].lines)):
+        for name in ("line_indices", "space", "other"):
+            with pytest.raises(AttributeError):
+                setattr(system, name, (1, 2, 3, 4))
+            with pytest.raises(AttributeError):
+                delattr(system, name)
+    # the shared table still maps each system's lines to that system
+    table = regularity._shared_systems(space)
+    again = associated_systems(ps)
+    assert [s.line_indices for s in again] == held
+    assert all(a is b and table[s] is a for a, b, s in zip(systems, again, held))
+    # copies rebuild an equal, equally read-only system
+    for copied in (pickle.loads(pickle.dumps(systems[0])), copy.copy(systems[0]), copy.deepcopy(systems[0])):
+        assert type(copied) is CoordinateSystem and copied == systems[0] and repr(copied) == repr(systems[0])
+        assert hash(copied) == hash(systems[0]) and copied.lines == systems[0].lines
+        with pytest.raises(AttributeError):
+            copied.line_indices = ()
 
 
 def test_shared_systems_leave_the_table_when_dropped():
