@@ -406,7 +406,7 @@ def check_thm_2_2_2(q, n, k, rng):
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
         threshold = comb(n - 1, k - 1) if n - k < k else comb(n - 1, k)
-        base = CoordinateSystem.from_line_indices(space, next(_systems_within(space, 1, [-1])))
+        base = CoordinateSystem.from_line_indices(space, next(_systems_within(space, 1)))
         systems = [base]
         for _ in range(10):
             h = SemilinearMap(space.field, random_invertible(space.field, n, rng))

@@ -52,10 +52,15 @@ def _join_masks(plane_set):
 
 
 def _first_system(plane_set, ok, forced=None):
-    """The first system of `_systems_within` on the set's join masks, or None."""
-    space = plane_set.gr.space
-    idxs = next(_systems_within(space, plane_set.gr.k, ok, forced), None)
-    return None if idxs is None else _shared_system(space, idxs)
+    """Line indices of the first system of `_systems_within` on `ok`, or None."""
+    return next(_systems_within(plane_set.gr.space, plane_set.gr.k, ok, forced), None)
+
+
+def _shared_first_system(plane_set, forced=None):
+    """The first system inside the set, through the plane `forced` when
+    given, as the shared object; or None."""
+    idxs = _first_system(plane_set, _join_masks(plane_set), forced)
+    return None if idxs is None else _shared_system(plane_set.gr.space, idxs)
 
 
 def _completing_planes(plane_set, ok):
@@ -75,13 +80,13 @@ def _completing_planes(plane_set, ok):
 
 def contains_maximal_regular(plane_set):
     """A coordinate system with all coordinate k-planes inside the set, or None."""
-    return _first_system(plane_set, _join_masks(plane_set))
+    return _shared_first_system(plane_set)
 
 
 def completion_witness(plane_set, plane_index):
     """A system realizing the outside plane as a coordinate plane with every
     other coordinate plane inside the set; None when no such system exists."""
-    return _first_system(plane_set, _join_masks(plane_set), plane_index)
+    return _shared_first_system(plane_set, plane_index)
 
 
 def is_irregular(plane_set):

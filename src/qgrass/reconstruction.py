@@ -273,7 +273,7 @@ def regular_violation(space, f):
         def regular(planes):
             return contains_maximal_regular(PlaneSet(gk, planes)) is not None
 
-    for system in _systems_within(space, 1, [-1]):
+    for system in _systems_within(space, 1):
         # a system's lines are its maximal regular set of G_1
         mr = system if k == 1 else [space.line_join_index(c, k) for c in combinations(system, k)]
         if not (regular(t[i] for i in mr) and regular(inv[i] for i in mr)):

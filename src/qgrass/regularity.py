@@ -105,57 +105,6 @@ class CoordinateSystem:
         return f"CoordinateSystem(n={self.space.n}, lines={self.line_indices})"
 
 
-def _covering_system_indices(space, plane_set):
-    """Line-index tuples of systems whose coordinate k-planes cover the given
-    planes, in canonical order; an iterator.  The walk is that of
-    `_systems_within`, with each plane still short held as its point mask and
-    the lines it needs: choosing t is pruned when one needs more lines than
-    the free slots or than its mask holds above t outside the new span, and
-    the last line lies in all of them (none for the zero plane, whose mask is
-    empty).  No search is run on more than C(n, k) planes, one system's
-    coordinate k-planes."""
-    n, k = space.n, plane_set.gr.k
-    if len(plane_set) > comb(n, k):
-        return iter(())
-    # by free slots: the lines with enough lines after them
-    nlines = len(space.grassmannian(1))
-    tails = [0] + [(1 << (nlines - slots + 1)) - 1 for slots in range(1, n + 1)]
-
-    def extend(chosen, mask, points, short, above):
-        slots = n - len(chosen)
-        cand = ~mask & above & tails[slots]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            t = low.bit_length() - 1
-            span, span_points = space.span_with(mask, points, t)
-            above_t = -(low << 1)
-            free = above_t & ~span
-            left = []
-            for plane, need in short:
-                if plane & low and need == 1:
-                    continue
-                need -= plane >> t & 1
-                if need >= slots or (plane & free).bit_count() < need:
-                    break
-                left.append((plane, need))
-            else:
-                if slots > 2:
-                    yield from extend(chosen + (t,), span, span_points, left, above_t)
-                    continue
-                # each bit of `last` completes a system (t itself at n = 1)
-                last, head = (free & tails[1], chosen + (t,)) if slots == 2 else (low, chosen)
-                for plane, _ in left:
-                    last &= plane
-                while last:
-                    bit = last & -last
-                    last ^= bit
-                    yield head + (bit.bit_length() - 1,)
-
-    masks = space.point_masks(k)
-    return extend((), 0, (), [(masks[p], k) for p in plane_set.indices], -1)
-
-
 @cache
 def _shared_systems(space):
     """The live systems of the space that searches returned, by line indices
@@ -175,11 +124,12 @@ def associated_systems(plane_set, limit=None):
     limit, the first `limit` of them (none when it is negative): the search
     stops at the last one taken.  Systems are shared and read-only: while
     one is held, every result naming it holds it."""
-    space = plane_set.gr.space
-    found = _covering_system_indices(space, plane_set)
-    if limit is not None:
-        found = islice(found, max(limit, 0))
-    return [_shared_system(space, i) for i in found]
+    space, n, k = plane_set.gr.space, plane_set.gr.n, plane_set.gr.k
+    # a regular set lies among one system's C(n, k) coordinate k-planes
+    if len(plane_set) > comb(n, k):
+        return []
+    found = _systems_within(space, k, members=plane_set.indices)
+    return [_shared_system(space, i) for i in islice(found, None if limit is None else max(limit, 0))]
 
 
 def is_regular(plane_set):
@@ -308,84 +258,109 @@ def hypergraph_view(plane_set, system):
     return out
 
 
-def _systems_within(space, k, ok, forced=None):
-    """Line-index tuples of the coordinate systems all of whose coordinate
-    k-planes lie in the set with join masks `ok` (`irregularity._join_masks`),
-    with `forced` additionally required to be a coordinate plane, its own
-    join exempt from the membership test; an iterator, in canonical order.
-    At k = 1 with `ok = [-1]` every line is allowed: the walk over all systems.
+def _systems_within(space, k, ok=None, forced=None, members=()):
+    """Line-index tuples of coordinate systems, in canonical order; an
+    iterator.  With join masks `ok` (`irregularity._join_masks`), every
+    coordinate k-plane lies in that set, `forced` being one more, exempt from
+    the membership test; in an unforced search, every plane of G_k in
+    `members` is a coordinate plane.  `ok=None` tests no membership: at
+    k = 1 with no members the search walks all systems.
 
     The span of the chosen lines is a point bitmask (`Space.span_with`);
     beside it, `compat` masks the lines that join every (k-1)-subset of the
     chosen lines to a plane of the set, and accepting t ANDs in the entry of
-    each (k-1)-plane that t spans with k-2 chosen lines.  The candidates at a
-    node are the bits of `compat & ~span` above the last chosen line, leaving
-    out those with fewer candidates after them than free slots.  A chosen
-    line is narrowed before it is spanned, and spanned only when the child
-    keeps a candidate outside the parent's span (bit-parallel filtering,
-    Knuth, TAOCP 4A, 7.1.3).  The node that picks the last but one line
-    yields the systems itself: each candidate for the last slot completes
-    one, with no span or narrowing.  An unforced search at k = 2 starts from
-    `_viable_lines` instead of every line; a forced one starts from each
-    independent k-subset of the forced plane's points, whose span is the
-    plane itself, with set-up kept per plane (`_forced_start`).
+    each (k-1)-plane that t spans with k-2 chosen lines.  A member still
+    short of k chosen lines is held as its point mask and the lines it needs.
+    The candidates at a node are the bits of `compat & ~span` above the last
+    chosen line, leaving out those with fewer candidates after them than
+    free slots.  A chosen line t is narrowed before it is spanned, and with
+    no member left spanned only when the child keeps a candidate outside the
+    parent's span (bit-parallel filtering, Knuth, TAOCP 4A, 7.1.3); t is
+    dropped when a member needs more lines than the free slots, or than its
+    mask holds among the child's candidates.  The node that picks the last
+    but one line yields the systems itself: each candidate for the last slot
+    that lies in every member still short completes one (none for the zero
+    plane, whose mask is empty).  An unforced search at k = 2 inside a set
+    starts from `_viable_lines` instead of every line; a forced one starts
+    from each independent k-subset of the forced plane's points, whose span
+    is the plane itself, with set-up kept per plane (`_forced_start`).
     """
     n = space.n
     join_idx = space.line_join_index
     span_with = space.span_with
 
     def narrow(compat, chosen, t):
-        # t spans no (k-1)-plane with chosen lines at k = 1, and t itself at k = 2
-        if k <= 2:
-            return compat & ok[t] if k == 2 else compat
+        # t itself is the (k-1)-plane at k = 2
+        if k == 2:
+            return compat & ok[t]
         for sub in combinations(chosen, k - 2):
             compat &= ok[join_idx(sub + (t,), k - 1)]
         return compat
 
-    def extend(chosen, mask, points, compat, above):
+    def extend(chosen, mask, points, compat, above, members):
         slots = n - len(chosen)
         cand = compat & ~mask & above & tails[slots]
         while cand:
             low = cand & -cand
             cand ^= low
             t = low.bit_length() - 1
+            free = 0    # with no slot left, each member still short must hold t
             if slots > 1:
-                narrowed = narrow(compat, chosen, t)
-                # the child's candidates lie in `last`: a child with none is neither spanned nor run
-                last = narrowed & ~mask & -(low << 1) & tails[slots - 1]
-                if not last:
+                above_t = -(low << 1)
+                # narrowed inline at k = 2: a call per node would cost more than the AND
+                narrowed = compat if narrow is None else compat & ok[t] if k == 2 else narrow(compat, chosen, t)
+                # with no member to prune by, a child with no candidate is neither spanned nor run
+                if not members and not narrowed & ~mask & above_t & tails[slots - 1]:
                     continue
-                if slots > 2:
-                    yield from extend(chosen + (t,), *span_with(mask, points, t), narrowed, -(low << 1))
-                    continue
-                # the systems are yielded here: each bit of `last` completes one
-                last &= ~span_with(mask, points, t)[0]
-                head = chosen + (t,)
+                span, span_points = span_with(mask, points, t)
+                free = narrowed & above_t & ~span
+            left = []
+            for plane, need in members:
+                if plane & low:
+                    if need == 1:
+                        continue
+                    need -= 1
+                if need >= slots or (plane & free).bit_count() < need:
+                    break
+                left.append((plane, need))
             else:
-                last, head = low, chosen
-            while last:
-                bit = last & -last
-                last ^= bit
-                yield head + (bit.bit_length() - 1,)
+                if slots > 2:
+                    yield from extend(chosen + (t,), span, span_points, narrowed, above_t, left)
+                    continue
+                # each bit of `last` completes a system (t itself when one slot was free)
+                last, head = (free & tails[1], chosen + (t,)) if slots == 2 else (low, chosen)
+                for plane, _ in left:
+                    last &= plane
+                while last:
+                    bit = last & -last
+                    last ^= bit
+                    yield head + (bit.bit_length() - 1,)
 
     def through_forced(mask, points, bases):
         for base in bases:
             compat = start
-            for i, t in enumerate(base):
-                compat = narrow(compat, base[:i], t)
+            if narrow is not None:
+                for i, t in enumerate(base):
+                    compat = narrow(compat, base[:i], t)
             if k == n:      # the forced plane is the whole space: the base is a system
                 yield base
-            for system in extend(base, mask, points, compat, -1):
+            for system in extend(base, mask, points, compat, -1, ()):
                 yield tuple(sorted(system))
 
-    start = ok[0] if k == 1 else -1     # -1: every line
+    # set once per search, not tested per node: no narrowing without a set, or at k = 1
+    if ok is None:
+        narrow, start = None, -1        # -1: every line
+    elif k == 1:
+        narrow, start = None, ok[0]
+    else:
+        start = _viable_lines(space, ok) if k == 2 and forced is None else -1
     if forced is None:
-        if k == 2:
-            start = _viable_lines(space, ok)
         # fewer than n candidates leave every tail empty: no search is run
-        tails = _tail_masks(n, [t for t in range(len(space.grassmannian(1))) if start >> t & 1])
+        lines = range(len(space.grassmannian(1)))
+        tails = _tail_masks(n, lines if start == -1 else [t for t in lines if start >> t & 1])
+        masks = space.point_masks(k)
         # returned, not delegated to: one generator level less on every yield
-        return extend((), 0, (), start, -1)
+        return extend((), 0, (), start, -1, [(masks[p], k) for p in members])
     tails, mask, points, bases = _forced_start(space, k, forced)
     return through_forced(mask, points, bases)
 
@@ -451,7 +426,7 @@ def all_coordinate_systems(space):
     q, n = space.field.q, space.n
     if (count := prod(q**n - q**i for i in range(n)) // ((q - 1) ** n * factorial(n))) > _MAX_SYSTEMS:
         raise TooLargeError(f"F_{q}^{n} has {count} coordinate systems, above {_MAX_SYSTEMS}")
-    return [CoordinateSystem.from_line_indices(space, idxs) for idxs in _systems_within(space, 1, [-1])]
+    return [CoordinateSystem.from_line_indices(space, idxs) for idxs in _systems_within(space, 1)]
 
 
 @cache

@@ -128,7 +128,6 @@ from qgrass.regularity import (
     AxisRecord,
     CoordinateSystem,
     NotRegularError,
-    _covering_system_indices,
     _systems_within,
     associated_systems,
     degree,
@@ -355,7 +354,7 @@ def echelon_system_indices(space):
 
 def every_system(space):
     """The engine's unconstrained walk: k = 1 with every line allowed."""
-    return _systems_within(space, 1, [-1])
+    return _systems_within(space, 1)
 
 
 def unpruned_systems_within(space, k, ok):
@@ -1799,13 +1798,13 @@ def test_maximality_and_completion_match_echelon_search_on_benchmark_sets():
 
 def test_degree_runs_one_covering_search(monkeypatch):
     searches = []
-    search = regularity._covering_system_indices
+    search = regularity._systems_within
 
     def counted(*args, **kwargs):
         searches.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(regularity, "_covering_system_indices", counted)
+    monkeypatch.setattr(regularity, "_systems_within", counted)
     space = Space.get(2, 4)
     planes = regularity.all_coordinate_systems(space)[0].coordinate_planes(2).indices
     degrees = []
@@ -1886,13 +1885,13 @@ def test_mask_profile_matches_meet_profile_on_seeded_sets(q, n, k):
 
 def test_profile_runs_one_covering_search(monkeypatch):
     searches = []
-    search = regularity._covering_system_indices
+    search = regularity._systems_within
 
     def counted(*args, **kwargs):
         searches.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(regularity, "_covering_system_indices", counted)
+    monkeypatch.setattr(regularity, "_systems_within", counted)
     space = Space.get(2, 4)
     planes = regularity.all_coordinate_systems(space)[0].coordinate_planes(2)
     for size in range(len(planes) + 1):
@@ -2023,9 +2022,25 @@ def guard_sets(q, n, k, rng):
 def test_size_guard_matches_unguarded_covering_search(q, n, k):
     space, sets = guard_sets(q, n, k, random.Random(f"guard:{q}:{n}:{k}"))
     for ps in sets:
-        got = list(_covering_system_indices(space, ps))
+        got = [s.line_indices for s in associated_systems(ps)]
         assert got == list(unguarded_covering_system_indices(space, ps))
         assert bool(got) == (len(ps) <= comb(n, k))     # the coordinate-plane sets are regular
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
+def test_covering_search_matches_unguarded_at_every_dimension(q, n):
+    # n = 1 starts at the node with one free slot, k = 0 holds the zero plane
+    # (no points, no lines needed) and k = n the whole space; no other covering
+    # test runs these.  Every subset where G_k has at most 7 planes, and every
+    # subset of up to 2 planes elsewhere
+    space = Space.get(q, n)
+    for k in range(n + 1):
+        gk = space.grassmannian(k)
+        for size in range((len(gk) if len(gk) <= 7 else 2) + 1):
+            for sub in combinations(range(len(gk)), size):
+                ps = PlaneSet(gk, sub)
+                got = [s.line_indices for s in associated_systems(ps)]
+                assert got == list(unguarded_covering_system_indices(space, ps)), (k, sub)
 
 
 def counted_span_with(monkeypatch):
@@ -2074,7 +2089,7 @@ def test_covering_search_span_work(monkeypatch, q, n, k, members, systems, spans
     ps = PlaneSet(space.grassmannian(k), members)
     space.point_masks(k)
     calls = counted_span_with(monkeypatch)
-    assert (len(list(_covering_system_indices(space, ps))), len(calls)) == (systems, spans)
+    assert (len(list(_systems_within(space, k, members=ps.indices))), len(calls)) == (systems, spans)
 
 
 @pytest.mark.parametrize(
@@ -2131,7 +2146,7 @@ def covering_sets(space, k, rng):
 
 def assert_covering_search_matches_echelon_oracle(space, plane_sets):
     for ps in plane_sets:
-        got = list(_covering_system_indices(space, ps))
+        got = list(_systems_within(space, ps.gr.k, members=ps.indices))
         assert got == list(unguarded_covering_system_indices(space, ps)), ps.indices
         systems = associated_systems(ps)
         assert [s.line_indices for s in systems] == got
