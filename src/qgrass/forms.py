@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .linalg import Mat, SingularMatrixError
-from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, _Record, meet
+from .linalg import Mat, SingularMatrixError, _rref_rows
+from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, _Record
 
 # Above this many vectors the definitional pairwise reflexivity scan is
 # replaced by the double-complement criterion on lines.
@@ -22,7 +22,7 @@ class BilinearForm:
     Evaluation: Om(x, y) = sum_ij gram[i][j] * sigma1(x_i) * sigma2(y_j).
     """
 
-    __slots__ = ("field", "n", "gram", "sigma1", "sigma2")
+    __slots__ = ("field", "n", "gram", "sigma1", "sigma2", "untwisted")
 
     def __init__(self, field, gram, sigma1=None, sigma2=None):
         if gram.nrows != gram.ncols:
@@ -32,22 +32,23 @@ class BilinearForm:
         self.gram = gram
         self.sigma1 = sigma1 if sigma1 is not None else field.identity_automorphism
         self.sigma2 = sigma2 if sigma2 is not None else field.identity_automorphism
+        # both slot automorphisms the identity: the form is bilinear
+        self.untwisted = self.sigma1.is_identity and self.sigma2.is_identity
 
     def evaluate(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length differs from the form's dimension")
         f = self.field
-        s1, s2 = self.sigma1, self.sigma2
-        add, mul = f.add, f._mul
+        if not self.untwisted:
+            x, y = map(self.sigma1, x), list(map(self.sigma2, y))
+        add, mul = f._add, f._mul
         acc = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            a = s1(xi)
-            row = self.gram.rows[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc = add(acc, mul[mul[a][row[j]]][s2(yj)])
+        for xi, row in zip(x, self.gram.rows):
+            if xi:
+                mx = mul[xi]
+                for g, yj in zip(row, y):
+                    if g and yj:
+                        acc = add[acc][mul[mx[g]][yj]]
         return acc
 
     def scaled(self, a):
@@ -104,7 +105,12 @@ def _line_reps(form):
 
 
 def is_symplectic(form):
-    """Om(x, x) = 0 for every x, scanned over projective representatives."""
+    """Om(x, x) = 0 for every x.  Untwisted, that is a zero diagonal and
+    gram[i][j] = -gram[j][i] (the coefficients of the quadratic form, whose
+    exponents stay below q); twisted forms are scanned over line representatives."""
+    if form.untwisted:
+        g, neg = form.gram.rows, form.field._neg
+        return all(g[i][j] == neg[g[j][i]] and g[i][i] == 0 for i in range(form.n) for j in range(i + 1))
     ev = form.evaluate
     return all(ev(v, v) == 0 for v in _line_reps(form))
 
@@ -273,48 +279,36 @@ def restricted_gram(form, u):
 
 
 def symplectic_basis(form):
-    """A hyperbolic basis for a nonsingular symplectic form, built by the
-    standard recursion: take the first nonzero vector x, the first partner y
-    rescaled so that Om(x, y) = 1, and recurse on the complement of <x, y>.
-    """
+    """A hyperbolic basis for a nonsingular symplectic form, split off pair
+    by pair inside the rref rows r_1..r_m of the current span: x = r_m, y the
+    last r_j with Om(x, r_j) != 0 rescaled so that Om(x, y) = 1 (the first
+    vectors of a coefficient-code scan), and then the rref rows of the
+    r_i + Om(y, r_i) x - Om(x, r_i) y, i != j, m: the rest of the span
+    orthogonal to x and y."""
     if form.n % 2:
         raise ValueError("odd dimension admits no nonsingular symplectic form")
-    if not form.sigma1.is_identity or not form.sigma2.is_identity:
+    if not form.untwisted:
         raise ValueError("hyperbolic bases are built for untwisted forms only")
     if not form.is_nonsingular():
         raise SingularMatrixError("symplectic basis needs a nonsingular form")
     if not is_symplectic(form):
         raise ValueError("form is not symplectic")
-    f = form.field
-    xs, ys = _symplectic_rec(form, Mat.identity(f, form.n).rows)
+    f, n, ev = form.field, form.n, form.evaluate
+    add, mul, neg = f._add, f._mul, f._neg
+    rows, xs, ys = Mat.identity(f, n).rows, [], []
+    while rows:
+        x = rows[-1]
+        j = max(j for j, r in enumerate(rows) if ev(x, r))   # some r pairs with x: the form is nonsingular
+        scale = mul[f.inv(ev(x, rows[j]))]
+        y = tuple(scale[t] for t in rows[j])
+        rest = []
+        for r in rows[:j] + rows[j + 1:-1]:
+            a, b = mul[ev(y, r)], mul[neg[ev(x, r)]]
+            rest.append([add[add[ri][a[xi]]][b[yi]] for ri, xi, yi in zip(r, x, y)])
+        xs.append(x)
+        ys.append(y)
+        rows = tuple(map(tuple, _rref_rows(f, rest, n)[0]))
     return SymplecticBasis(tuple(xs), tuple(ys))
-
-
-def _symplectic_rec(form, frame):
-    """Recurse inside the span of frame rows (ambient coordinates)."""
-    if not frame:
-        return [], []
-    f = form.field
-    sub = Subspace.span(f, form.n, frame)
-    x = None
-    for v in sub.vectors():
-        if any(v):
-            x = v
-            break
-    y = None
-    for v in sub.vectors():
-        c = form.evaluate(x, v)
-        if c:
-            y = v if c == 1 else tuple(f._mul[f.inv(c)][t] for t in v)
-            break
-    if y is None:
-        raise SingularMatrixError("restriction became singular during recursion")
-    pair = Subspace.span(f, form.n, (x, y))
-    comp = meet(sub, orth_complement(form, pair))
-    if pair.k != 2 or comp.k != sub.k - 2 or meet(pair, comp).k:
-        raise RuntimeError("hyperbolic pair does not split off cleanly")
-    xs, ys = _symplectic_rec(form, comp.rows)
-    return [x] + xs, [y] + ys
 
 
 def singular_restriction_planes(space, form, k):

@@ -9,15 +9,16 @@ their Grassmannians are cached so incidence tables are shared.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, compress, product
-from operator import index
+from operator import index, or_
 
 from .gf import field as get_field
 from .linalg import Mat, _rref_rows
 
 MAX_AMBIENT_DIM = 6
 MAX_GRASSMANNIAN = 100_000   # planes; G_2(F_4^6), 93,093 planes, is the largest below it
+MAX_DISTANCE_PLANES = 1_500   # planes, as `classify` takes; G_3(F_2^6), 1,395 planes, is the largest middle G_k
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")   # binary digits to selector bytes
 
@@ -446,10 +447,23 @@ class Space:
         return steps
 
     @cache
+    def adjacency_masks(self, k):
+        """For each plane of G_k, the mask over G_k indices of the planes at
+        distance 1 from it: the planes through its (k-1)-faces, itself left
+        out (cached)."""
+        stars = [sum(1 << i for i in row) for row in self.incidence(k, k - 1)]
+        faces = self.incidence(k - 1, k)
+        return [reduce(or_, map(stars.__getitem__, row)) & ~(1 << i) for i, row in enumerate(faces)]
+
+    @cache
     def distance_matrix(self, k):
         """k - dim(a meet b) for every pair of G_k planes, read off the
-        popcount of their point masks (cached)."""
-        dist_of = {gaussian_binomial(e, 1, self.field.q): k - e for e in range(k + 1)}
+        popcount of their point masks (cached).  Above `MAX_DISTANCE_PLANES`
+        planes, `TooLargeError` is raised before anything is built."""
+        q, n = self.field.q, self.n
+        if (size := gaussian_binomial(n, k, q)) > MAX_DISTANCE_PLANES:
+            raise TooLargeError(f"distance matrix of G_{k}(F_{q}^{n}): {size} planes, above {MAX_DISTANCE_PLANES}")
+        dist_of = {gaussian_binomial(e, 1, q): k - e for e in range(k + 1)}
         masks = self.point_masks(k)
         return [[dist_of[(a & b).bit_count()] for b in masks] for a in masks]
 
@@ -577,6 +591,13 @@ class GrassmannMap:
         self.table = table
 
     @classmethod
+    def _unchecked(cls, domain, codomain, table):
+        """The map of a tuple already known to be a bijection's table."""
+        f = cls.__new__(cls)
+        f.domain, f.codomain, f.table = domain, codomain, table
+        return f
+
+    @classmethod
     def identity(cls, gr):
         return cls(gr, gr, range(len(gr)))
 
@@ -604,7 +625,7 @@ class GrassmannMap:
         inv = [0] * len(self.table)
         for i, j in enumerate(self.table):
             inv[j] = i
-        return GrassmannMap(self.codomain, self.domain, inv)
+        return GrassmannMap._unchecked(self.codomain, self.domain, tuple(inv))
 
     def is_identity(self):
         return self.domain is self.codomain and all(i == j for i, j in enumerate(self.table))
@@ -635,20 +656,30 @@ def incidence_set(space, s, k):
     return PlaneSet(gk, table[space.grassmannian(s.k).index(s)])
 
 
-def adjacency_lists(space, k):
-    d = space.distance_matrix(k)
-    return [frozenset(j for j, dj in enumerate(row) if dj == 1) for row in d]
-
-
 def _bron_kerbosch(adj, clique, cand, excl, out):
-    if not cand and not excl:
-        out.append(tuple(sorted(clique)))
+    """Bron-Kerbosch with pivoting on int masks over plane indices: append to
+    `out` the mask of every maximal clique extending `clique` by candidates
+    from `cand` that no vertex of `excl` extends.  The pivot is the last
+    candidate, and a call returns at once when some vertex of `excl` is
+    adjacent to every candidate, since it extends every clique found there."""
+    if not cand:
+        if not excl:
+            out.append(clique)
         return
-    pivot = max(cand | excl, key=lambda v: len(adj[v] & cand))
-    for v in sorted(cand - adj[pivot]):
-        _bron_kerbosch(adj, clique + [v], cand & adj[v], excl & adj[v], out)
-        cand = cand - {v}
-        excl = excl | {v}
+    rest = excl
+    while rest:
+        low = rest & -rest
+        if not cand & ~adj[low.bit_length() - 1]:
+            return
+        rest ^= low
+    branch = cand & ~adj[cand.bit_length() - 1]
+    while branch:
+        low = branch & -branch
+        v = low.bit_length() - 1
+        _bron_kerbosch(adj, clique | low, cand & adj[v], excl & adj[v], out)
+        cand ^= low
+        excl |= low
+        branch ^= low
 
 
 def maximal_adjacent_families(space, k):
@@ -656,27 +687,23 @@ def maximal_adjacent_families(space, k):
 
     Returns a list of (PlaneSet, kind, center) sorted canonically, where
     kind is "star" (center of dimension k-1) or "top" (carrier of dimension
-    k+1) and the family equals the incidence set of its center.
+    k+1) and the family equals the incidence set of its center.  The
+    cliques are found on `Space.adjacency_masks` and told apart by looking
+    their masks up among the stars' and the tops' masks.
     """
     n = space.n
     if not 1 < k < n - 1:
         raise ValueError("maximal adjacent families need 1 < k < n-1")
     gk = space.grassmannian(k)
-    adj = adjacency_lists(space, k)
     cliques = []
-    _bron_kerbosch(adj, [], set(range(len(gk))), set(), cliques)
-    cliques.sort()
+    _bron_kerbosch(space.adjacency_masks(k), 0, (1 << len(gk)) - 1, 0, cliques)
+    kinds = {}
+    for kind, m in (("star", k - 1), ("top", k + 1)):
+        for s, row in zip(space.grassmannian(m), space.incidence(k, m)):
+            kinds[sum(1 << i for i in row)] = kind, s
     out = []
-    for cl in cliques:
-        fam = PlaneSet(gk, cl)
-        a, b = gk[cl[0]], gk[cl[1]]
-        center = meet(a, b)
-        if center.k == k - 1 and incidence_set(space, center, k) == fam:
-            out.append((fam, "star", center))
-            continue
-        carrier = join(a, b)
-        if carrier.k == k + 1 and incidence_set(space, carrier, k) == fam:
-            out.append((fam, "top", carrier))
-            continue
-        raise RuntimeError("maximal adjacent family is neither a star nor a top")
+    for fam in sorted((PlaneSet._from_mask(gk, c) for c in cliques), key=lambda fam: fam.indices):
+        if fam.mask not in kinds:
+            raise RuntimeError("maximal adjacent family is neither a star nor a top")
+        out.append((fam, *kinds[fam.mask]))
     return out

@@ -25,7 +25,7 @@ from .grassmann import (
 )
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import _shared_system, _systems_within, is_regular
+from .regularity import _require_middle_dimension, _shared_system, _systems_within, is_regular
 
 STATUS_REGULAR = "regular-in-sub"
 STATUS_IRREGULAR = "irregular-in-sub"
@@ -41,6 +41,7 @@ def _join_masks(plane_set):
     """For each (k-1)-plane W, the OR of the point masks of the set's planes
     through W (W is the zero space at k = 1).  A line t outside W joins W to
     a plane of the set exactly when t's bit is set in W's entry."""
+    _require_middle_dimension(plane_set.gr)
     space, k = plane_set.gr.space, plane_set.gr.k
     masks = space.point_masks(k)
     faces = space.incidence(k - 1, k)

@@ -62,14 +62,19 @@ def independence_violation(space, f):
     """A hyperplane whose line set maps to no hyperplane's line set, or None.
 
     Checking every hyperplane both ways is equivalent to preservation of all
-    independent line collections; the first in index order is named.
+    independent line collections; the first in index order is named.  Lines
+    are distinct bits, so the point mask of a hyperplane's image under f or
+    its inverse is the sum of its lines' image bits.
     """
     _check_line_table(space, f)
-    n, rows = space.n, space.incidence(1, space.n - 1)
-    images = zip(_row_planes(space, f.table, 1, n - 1, rows), _row_planes(space, f.inverse().table, 1, n - 1, rows))
-    for hi, pair in enumerate(images):
-        if None in pair:
-            return space.grassmannian(n - 1)[hi]
+    n, forward, backward = space.n, [1 << j for j in f.table], [0] * len(f.table)
+    for i, j in enumerate(f.table):
+        backward[j] = 1 << i
+    hyperplanes = space.mask_index(n - 1)
+    for hi, row in enumerate(space.incidence(1, n - 1)):
+        for image in (forward, backward):
+            if sum(map(image.__getitem__, row)) not in hyperplanes:
+                return space.grassmannian(n - 1)[hi]
     return None
 
 

@@ -118,12 +118,19 @@ def _shared_system(space, indices):
     return shared.get(indices) or shared.setdefault(indices, CoordinateSystem.from_line_indices(space, indices))
 
 
+def _require_middle_dimension(gr):
+    """Refuse k outside 1..n-1, where regularity and irregularity are not defined."""
+    if not 1 <= gr.k <= gr.n - 1:
+        raise ValueError(f"regularity needs 1 <= k <= {gr.n - 1} at n={gr.n}; the set has k={gr.k}")
+
+
 def associated_systems(plane_set, limit=None):
     """All coordinate systems whose coordinate k-planes contain every member,
     in canonical order; empty exactly when the set is not regular.  With a
     limit, the first `limit` of them (none when it is negative): the search
     stops at the last one taken.  Systems are shared and read-only: while
     one is held, every result naming it holds it."""
+    _require_middle_dimension(plane_set.gr)
     space, n, k = plane_set.gr.space, plane_set.gr.n, plane_set.gr.k
     # a regular set lies among one system's C(n, k) coordinate k-planes
     if len(plane_set) > comb(n, k):
@@ -139,6 +146,7 @@ def is_regular(plane_set):
 
 
 def is_maximal_regular(plane_set):
+    _require_middle_dimension(plane_set.gr)
     n, k = plane_set.gr.n, plane_set.gr.k
     return len(plane_set) == comb(n, k) and is_regular(plane_set) is not None
 
@@ -223,6 +231,7 @@ def profile(subset, maximal_superset):
     if not subset.issubset(maximal_superset):
         raise ValueError("profile needs subset <= maximal superset")
     gr = subset.gr
+    _require_middle_dimension(gr)
     system = is_regular(maximal_superset) if len(maximal_superset) == comb(gr.n, gr.k) else None
     if system is None:
         raise NotRegularError("profile needs a maximal regular superset")
@@ -247,6 +256,7 @@ def profile(subset, maximal_superset):
 def hypergraph_view(plane_set, system):
     """Each member as the set of axis positions whose join it is: the
     positions of the system lines among the member's points."""
+    _require_middle_dimension(plane_set.gr)
     k = plane_set.gr.k
     masks = plane_set.gr.space.point_masks(k)
     out = []
@@ -279,11 +289,11 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
     dropped when a member needs more lines than the free slots, or than its
     mask holds among the child's candidates.  The node that picks the last
     but one line yields the systems itself: each candidate for the last slot
-    that lies in every member still short completes one (none for the zero
-    plane, whose mask is empty).  An unforced search at k = 2 inside a set
-    starts from `_viable_lines` instead of every line; a forced one starts
-    from each independent k-subset of the forced plane's points, whose span
-    is the plane itself, with set-up kept per plane (`_forced_start`).
+    that lies in every member still short completes one.  An unforced search
+    at k = 2 inside a set starts from `_viable_lines` instead of every line;
+    a forced one starts from each independent k-subset of the forced plane's
+    points, whose span is the plane itself, with set-up kept per plane
+    (`_forced_start`).
     """
     n = space.n
     join_idx = space.line_join_index
@@ -342,8 +352,6 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
             if narrow is not None:
                 for i, t in enumerate(base):
                     compat = narrow(compat, base[:i], t)
-            if k == n:      # the forced plane is the whole space: the base is a system
-                yield base
             for system in extend(base, mask, points, compat, -1, ()):
                 yield tuple(sorted(system))
 

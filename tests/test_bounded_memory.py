@@ -7,7 +7,9 @@ plane set per coordinate system (G_2(F_3^5) has 123,845,436 systems), and
 the similarity filter must not read the whole distance matrix (11,011^2
 entries at G_2(F_3^6)); either raises `MemoryError` under the cap.  The
 list of every coordinate system is refused with `TooLargeError` before it
-is searched (27,998,208 systems of F_2^6).
+is searched (27,998,208 systems of F_2^6), and so is the distance matrix of
+G_2(F_4^5) (5,797 planes, 33.6 M entries), also when a library
+`chow_classify` of a corrupted table there falls back to the distance scan.
 """
 
 from test_cli import run_child
@@ -78,3 +80,24 @@ def test_all_coordinate_systems_refuses_f2_6_and_f3_5_under_a_memory_cap():
         "F_3^5 has 123845436 coordinate systems, above 100000",
         "F_3^5 has 123845436 coordinate systems, above 100000",
     ]
+
+
+DISTANCE_MATRIX = CAP + """
+from qgrass.grassmann import GrassmannMap, Space, TooLargeError
+from qgrass.reconstruction import chow_classify
+space = Space.get(4, 5)
+g2 = space.grassmannian(2)
+table = list(range(len(g2)))
+table[0], table[1] = table[1], table[0]
+for call in (lambda: space.distance_matrix(2), lambda: chow_classify(space, GrassmannMap(g2, g2, table))):
+    try:
+        call()
+    except TooLargeError as exc:
+        print(exc)
+"""
+
+
+def test_distance_matrix_refuses_g2_f4_5_under_a_memory_cap():
+    out = run_child(["-c", DISTANCE_MATRIX], timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == ["distance matrix of G_2(F_4^5): 5797 planes, above 1500"] * 2

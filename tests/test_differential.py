@@ -39,8 +39,16 @@ points and tested against the hyperplanes through each line, with the pool
 of every line tested against every hyperplane; and the line table built by
 one vector addition per line along `Space._line_recurrence` with one vector
 mapped per line, and the rebuild that reads its scales and automorphism by
-line lookups with the 2-column matrix solves it replaced.  The replaced
-implementations are kept here as reference oracles.
+line lookups with the 2-column matrix solves it replaced; and the maximal
+adjacent families, found by Bron-Kerbosch on adjacency masks and told apart
+by mask lookups, with set-based Bron-Kerbosch over the rows of
+`distance_matrix` and the meet/join classification; and the hyperbolic basis
+split off inside rref rows with the recursion through `Subspace.vectors`,
+`orth_complement` and `meet`; and the untwisted `is_symplectic`, read off the
+Gram, and `evaluate` with the line scan and the per-entry automorphism
+calls; and the independence scan by mask sums over a plain inverse list
+with the two `_row_planes` scans through `GrassmannMap.inverse`.  The
+replaced implementations are kept here as reference oracles.
 """
 
 import copy
@@ -63,12 +71,16 @@ from qgrass.forms import (
     FormPredicates,
     ReflexiveClass,
     SymplecticBasis,
+    _line_reps,
     _symplectic_map,
     dot_form,
     form_map,
+    is_symplectic,
+    orth_complement,
     standard_symplectic,
+    symplectic_basis,
 )
-from qgrass.gf import SUPPORTED_ORDERS
+from qgrass.gf import SUPPORTED_ORDERS, field as gf_field
 from qgrass.grassmann import (
     GrassmannMap,
     PlaneSet,
@@ -80,9 +92,16 @@ from qgrass.grassmann import (
     gaussian_binomial,
     incidence_set,
     join,
+    maximal_adjacent_families,
     meet,
 )
-from qgrass.harness import CheckResult, _regular_subset_sweep, random_invertible, random_semilinear
+from qgrass.harness import (
+    CheckResult,
+    _regular_subset_sweep,
+    random_alternating_gram,
+    random_invertible,
+    random_semilinear,
+)
 from qgrass.irregularity import (
     Characteristics,
     DeficientConstruction,
@@ -105,7 +124,7 @@ from qgrass.irregularity import (
     planes_meeting,
 )
 from qgrass.linalg import EchelonBasis, Mat
-from qgrass.maps import SemilinearMap, induced_map, induces
+from qgrass.maps import SemilinearMap, _row_planes, induced_map, induces
 from qgrass.reconstruction import (
     AutomorphismMismatchError,
     ClassificationResult,
@@ -2029,16 +2048,19 @@ def test_size_guard_matches_unguarded_covering_search(q, n, k):
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
 def test_covering_search_matches_unguarded_at_every_dimension(q, n):
-    # n = 1 starts at the node with one free slot, k = 0 holds the zero plane
-    # (no points, no lines needed) and k = n the whole space; no other covering
-    # test runs these.  Every subset where G_k has at most 7 planes, and every
-    # subset of up to 2 planes elsewhere
+    # k = 0 (the zero plane) and k = n (the whole space) are refused, as is
+    # every k at n = 1; elsewhere every subset where G_k has at most 7 planes,
+    # and every subset of up to 2 planes
     space = Space.get(q, n)
     for k in range(n + 1):
         gk = space.grassmannian(k)
         for size in range((len(gk) if len(gk) <= 7 else 2) + 1):
             for sub in combinations(range(len(gk)), size):
                 ps = PlaneSet(gk, sub)
+                if k in (0, n):
+                    with pytest.raises(ValueError, match=rf"regularity needs 1 <= k <= {n - 1} at n={n}; the set has k={k}"):
+                        associated_systems(ps)
+                    continue
                 got = [s.line_indices for s in associated_systems(ps)]
                 assert got == list(unguarded_covering_system_indices(space, ps)), (k, sub)
 
@@ -2159,11 +2181,15 @@ def test_covering_search_matches_echelon_oracle_on_small_sets():
     assert_covering_search_matches_echelon_oracle(
         g1.space, (PlaneSet(g1, c) for size in range(5) for c in combinations(range(len(g1)), size))
     )
-    for k, top in ((0, 1), (2, 2), (3, 3)):
+    for k, top in ((2, 2), (3, 3)):
         gk = Space.get(2, 4).grassmannian(k)
         assert_covering_search_matches_echelon_oracle(
             gk.space, (PlaneSet(gk, c) for size in range(top + 1) for c in combinations(range(len(gk)), size))
         )
+    g0 = Space.get(2, 4).grassmannian(0)
+    for c in ((), (0,)):
+        with pytest.raises(ValueError, match=r"regularity needs 1 <= k <= 3 at n=4; the set has k=0"):
+            associated_systems(PlaneSet(g0, c))
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 5, 1), (3, 3, 1)])
@@ -2372,3 +2398,204 @@ def test_check_results_hold_distinct_default_details():
     a, b = CheckResult("id", True, "scope"), CheckResult("id", True, "scope")
     assert a.details == b.details == {} and a.details is not b.details
     assert copy.deepcopy(CheckResult("id", True, "scope", {"n": [1]})).details == {"n": [1]}
+
+
+def distance_matrix_adjacent_families(space, k):
+    """`maximal_adjacent_families` as it was: set-based Bron-Kerbosch, pivoting
+    on the vertex with the most candidate neighbours, over the adjacency rows
+    of `distance_matrix`, and each clique classified by the meet and the join
+    of its first two members and their incidence sets."""
+    gk = space.grassmannian(k)
+    adj = [frozenset(j for j, dj in enumerate(row) if dj == 1) for row in space.distance_matrix(k)]
+    cliques = []
+
+    def bron_kerbosch(clique, cand, excl):
+        if not cand and not excl:
+            cliques.append(tuple(sorted(clique)))
+            return
+        pivot = max(cand | excl, key=lambda v: len(adj[v] & cand))
+        for v in sorted(cand - adj[pivot]):
+            bron_kerbosch(clique + [v], cand & adj[v], excl & adj[v])
+            cand = cand - {v}
+            excl = excl | {v}
+
+    bron_kerbosch([], set(range(len(gk))), set())
+    out = []
+    for cl in sorted(cliques):
+        fam = PlaneSet(gk, cl)
+        a, b = gk[cl[0]], gk[cl[1]]
+        center = meet(a, b)
+        if center.k == k - 1 and incidence_set(space, center, k) == fam:
+            out.append((fam, "star", center))
+            continue
+        carrier = join(a, b)
+        assert carrier.k == k + 1 and incidence_set(space, carrier, k) == fam
+        out.append((fam, "top", carrier))
+    return out
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (2, 5, 3), (3, 4, 2)])
+def test_mask_adjacent_families_match_distance_matrix_cliques(q, n, k):
+    space = Space.get(q, n)
+    d = space.distance_matrix(k)
+    adj = space.adjacency_masks(k)
+    assert adj == [sum(1 << j for j, dj in enumerate(row) if dj == 1) for row in d]
+    fams = maximal_adjacent_families(space, k)
+    assert fams == distance_matrix_adjacent_families(space, k)
+    assert [kind for _, kind, _ in fams].count("star") == len(space.grassmannian(k - 1))
+    # the maximality re-check of `verify prop-1.4.2`: the AND of the members'
+    # masks names the first plane adjacent to all of them, as the scan of the
+    # distance rows did; none for a family, its dropped member for the rest
+    for fam, _, _ in fams:
+        for members in (fam.indices, fam.indices[:-1]):
+            common = functools.reduce(lambda a, b: a & b, (adj[i] for i in members))
+            outside = next((j for j in range(len(d)) if j not in members and all(d[j][i] == 1 for i in members)), None)
+            assert ((common & -common).bit_length() - 1 if common else None) == outside
+            assert (outside is None) == (members == fam.indices)
+
+
+def meet_symplectic_basis(form):
+    """`symplectic_basis` as it was: x the first nonzero vector and y the
+    first vector pairing with it in a `Subspace.vectors` scan of the current
+    span, and the rest the meet of the span with the orthogonal complement
+    of <x, y>."""
+    f = form.field
+
+    def rec(frame):
+        if not frame:
+            return [], []
+        sub = Subspace.span(f, form.n, frame)
+        x = next(v for v in sub.vectors() if any(v))
+        v = next(v for v in sub.vectors() if form.evaluate(x, v))
+        c = form.evaluate(x, v)
+        y = v if c == 1 else tuple(f._mul[f.inv(c)][t] for t in v)
+        pair = Subspace.span(f, form.n, (x, y))
+        comp = meet(sub, orth_complement(form, pair))
+        assert pair.k == 2 and comp.k == sub.k - 2 and meet(pair, comp).k == 0
+        xs, ys = rec(comp.rows)
+        return [x] + xs, [y] + ys
+
+    xs, ys = rec(Mat.identity(f, form.n).rows)
+    return SymplecticBasis(tuple(xs), tuple(ys))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_symplectic_basis_matches_meet_recursion(q, n):
+    f = gf_field(q)
+    rng = random.Random(f"symplectic:{q}:{n}")
+    expected = standard_symplectic(f, n).gram
+    for _ in range(45):
+        form = BilinearForm(f, random_alternating_gram(f, n, rng))
+        basis = symplectic_basis(form)
+        assert basis == meet_symplectic_basis(form)
+        vs = basis.vectors()
+        assert Mat(f, [[form.evaluate(a, b) for b in vs] for a in vs]) == expected
+
+
+def per_entry_evaluate(form, x, y):
+    """`BilinearForm.evaluate` as it was: both slot automorphisms called on
+    every entry pair, untwisted or not."""
+    f = form.field
+    acc = 0
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj and form.gram.rows[i][j]:
+                acc = f.add(acc, f.mul(f.mul(form.sigma1(xi), form.gram.rows[i][j]), form.sigma2(yj)))
+    return acc
+
+
+def line_scan_is_symplectic(form):
+    """`is_symplectic` as it was for every form: Om(v, v) = 0 on one vector
+    per line."""
+    return all(per_entry_evaluate(form, v, v) == 0 for v in _line_reps(form))
+
+
+def assert_same_symplectic(form, rng):
+    assert is_symplectic(form) == line_scan_is_symplectic(form)
+    vs = [tuple(rng.randrange(form.field.q) for _ in range(form.n)) for _ in range(6)]
+    assert [form.evaluate(x, y) for x in vs for y in vs] == [per_entry_evaluate(form, x, y) for x in vs for y in vs]
+
+
+def test_gram_symplectic_test_matches_line_scan():
+    rng = random.Random("is-symplectic")
+    symplectic = 0
+    # every 2x2 and 3x3 Gram over GF(2) and GF(3)
+    for q in (2, 3):
+        f = gf_field(q)
+        for n in (2, 3):
+            for fill in product(range(q), repeat=n * n):
+                form = BilinearForm(f, Mat(f, [fill[i * n:(i + 1) * n] for i in range(n)]))
+                assert is_symplectic(form) == line_scan_is_symplectic(form)
+                symplectic += is_symplectic(form)
+    # GF(4): seeded Grams of sizes 2 to 4, half of them alternating
+    f = gf_field(4)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            fill = [rng.randrange(4) for _ in range(n * n)]
+            rows = [fill[i * n:(i + 1) * n] for i in range(n)]
+            if rng.random() < 0.5:
+                rows = [[rows[i][j] if i < j else f.neg(rows[j][i]) if i > j else 0 for j in range(n)] for i in range(n)]
+            form = BilinearForm(f, Mat(f, rows))
+            assert_same_symplectic(form, rng)
+            symplectic += is_symplectic(form)
+    # twisted forms keep the line scan: every Frobenius pair but (Id, Id)
+    for q in (4, 8, 9):
+        f = gf_field(q)
+        pairs = [(a, b) for a in f.automorphisms() for b in f.automorphisms() if not (a.is_identity and b.is_identity)]
+        for _ in range(60):
+            n = rng.choice((2, 3))
+            fill = [rng.randrange(q) for _ in range(n * n)]
+            rows = [fill[i * n:(i + 1) * n] for i in range(n)]
+            if rng.random() < 0.5:
+                rows = [[rows[i][j] if i < j else f.neg(rows[j][i]) if i > j else 0 for j in range(n)] for i in range(n)]
+            form = BilinearForm(f, Mat(f, rows), *rng.choice(pairs))
+            assert not form.untwisted
+            assert_same_symplectic(form, rng)
+            symplectic += is_symplectic(form)
+    assert symplectic
+
+
+def row_planes_independence_violation(space, f):
+    """`independence_violation` as it was: two `_row_planes` scans of the
+    hyperplanes' line rows, one through the table and one through
+    `GrassmannMap.inverse`, zipped."""
+    n, rows = space.n, space.incidence(1, space.n - 1)
+    images = zip(_row_planes(space, f.table, 1, n - 1, rows), _row_planes(space, f.inverse().table, 1, n - 1, rows))
+    for hi, pair in enumerate(images):
+        if None in pair:
+            return space.grassmannian(n - 1)[hi]
+    return None
+
+
+def assert_same_independence_scans(space, maps):
+    found = 0
+    for f in maps:
+        witness = independence_violation(space, f)
+        assert witness == row_planes_independence_violation(space, f)
+        found += witness is None
+        inverse = [0] * len(f.table)
+        for i, j in enumerate(f.table):
+            inverse[j] = i
+        assert f.inverse() == GrassmannMap(f.codomain, f.domain, inverse)
+        assert type(f.inverse().table) is tuple and f.compose(f.inverse()).is_identity()
+    return found
+
+
+def test_mask_sum_independence_scan_matches_row_planes_scan_on_every_permutation_at_2_3():
+    space = Space.get(2, 3)
+    assert assert_same_independence_scans(space, every_line_permutation_at_2_3()) == 168
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (2, 4)])
+def test_mask_sum_independence_scan_matches_row_planes_scan_on_seeded_permutations(q, n):
+    space = Space.get(q, n)
+    g1 = space.grassmannian(1)
+    rng = random.Random(f"independence-sum:{q}:{n}")
+    shuffled = []
+    for _ in range(300):
+        perm = list(range(len(g1)))
+        rng.shuffle(perm)
+        shuffled.append(GrassmannMap(g1, g1, perm))
+    preserving = assert_same_independence_scans(space, list(line_tables(space, 5, rng)) + shuffled)
+    assert 0 < preserving < 345

@@ -30,6 +30,10 @@ at (2,3,1); the line-set branch of thm-2.2.2 at (2,4,1); thm-3.2.3 at
 (2,5,2) and thm-3.2.4 at (2,5,3); one infeasible scope (thm-1.3.1 at
 (2,4,1), exit 3) and one unknown id (exit 2).  They were recorded before the
 harness merged its duplicate sweeps, shape tests and construction checks.
+prop-1.1.2 and prop-1.4.2 are also pinned at (3,4,2), the other point of the
+CLI corpus; those two were recorded while the symplectic splitting still
+went through `Subspace` meets and the adjacent families were still read off
+the distance matrix.
 
 To re-record a case after an intended output change, run the same command
 from `tests/golden/` and overwrite its `.stdout` file.
@@ -70,6 +74,8 @@ VERIFY_POINTS = [
         "thm-3.2.2", "thm-3.2.3", "thm-3.2.4", "lemma-3.2.1", "cor-3.2.2",
     )
 ] + [
+    ("prop-1.1.2", "3-4-2"),
+    ("prop-1.4.2", "3-4-2"),
     ("thm-1.3.1", "2-3-1"),
     ("thm-1.3.1", "2-4-1"),
     ("thm-2.2.2", "2-4-1"),

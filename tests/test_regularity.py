@@ -420,3 +420,26 @@ def test_held_associated_systems_retain_less_memory():
     finally:
         tracemalloc.stop()
     assert len(held) == 2000 and kept < 2_176_184 // 2
+
+
+def test_edge_dimensions_are_refused_at_every_entry_point():
+    # k = 0 and k = n: regularity is defined for 1 <= k <= n-1 only.  Before
+    # the refusal a G_0 set had no system while `is_irregular` on it raised
+    # from the join masks, and a G_3 set of F_2^3 had all 28 systems
+    from qgrass import irregularity
+
+    space = Space.get(2, 3)
+    system = standard_system(space)
+    calls = [
+        associated_systems, is_regular, is_maximal_regular, is_exact, degree,
+        lambda ps: profile(ps, ps), lambda ps: hypergraph_view(ps, system),
+        irregularity.is_irregular, irregularity.is_maximal_irregular,
+        irregularity.complete_to_maximal_irregular, contains_maximal_regular,
+        lambda ps: completion_witness(ps, 0),
+    ]
+    for k in (0, 3):
+        gk = space.grassmannian(k)
+        for ps in (PlaneSet(gk, ()), PlaneSet(gk, (0,))):
+            for call in calls:
+                with pytest.raises(ValueError, match=rf"^regularity needs 1 <= k <= 2 at n=3; the set has k={k}$"):
+                    call(ps)
