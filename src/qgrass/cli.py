@@ -27,7 +27,7 @@ from math import comb
 
 from .gf import UnsupportedOrderError
 from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, _subspace_cert, gaussian_binomial
-from .irregularity import characteristics, contains_maximal_regular, is_irregular, is_maximal_irregular
+from .irregularity import characteristics, contains_maximal_regular, is_maximal_irregular
 from .reconstruction import (
     AutomorphismMismatchError,
     NotDistancePreservingError,
@@ -36,7 +36,7 @@ from .reconstruction import (
     chow_classify,
     regular_classify,
 )
-from .regularity import NotRegularError, _degree, associated_systems
+from .regularity import NotRegularError, _degree, associated_systems, is_regular
 
 SCHEMA = "qgrass-report/1"
 
@@ -250,14 +250,14 @@ def cmd_analyze(args):
             verdicts.append(f"degree {d}")
             certificates["exact_superset"] = [_subspace_cert(s) for s in witness.members()]
     elif args.mode == "irregular":
-        irr = is_irregular(ps)
+        # one search for a maximal regular subset serves the verdict and the certificate
+        witness = contains_maximal_regular(ps)
+        irr = witness is None and is_regular(ps) is None
         verdicts.append("irregular" if irr else "not-irregular")
         if irr:
             verdicts.append("maximal" if is_maximal_irregular(ps) else "not-maximal")
-        else:
-            witness = contains_maximal_regular(ps)
-            if witness is not None:
-                certificates["maximal_regular_witness"] = _system_cert(witness)
+        elif witness is not None:
+            certificates["maximal_regular_witness"] = _system_cert(witness)
     elif args.mode == "characteristics":
         ch = characteristics(ps)
         verdicts.append(f"line-span-dim {ch.line_span_dim}")

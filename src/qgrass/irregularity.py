@@ -25,7 +25,7 @@ from .grassmann import (
 )
 from .linalg import Mat
 from .maps import SemilinearMap, induced_map
-from .regularity import _require_middle_dimension, _shared_system, _systems_within, is_regular
+from .regularity import _require_middle_dimension, _shared_system, _system_search, _systems_within, is_regular
 
 STATUS_REGULAR = "regular-in-sub"
 STATUS_IRREGULAR = "irregular-in-sub"
@@ -52,28 +52,32 @@ def _join_masks(plane_set):
     return ok
 
 
-def _first_system(plane_set, ok, forced=None):
-    """Line indices of the first system of `_systems_within` on `ok`, or None."""
-    return next(_systems_within(plane_set.gr.space, plane_set.gr.k, ok, forced), None)
+def _inside_search(plane_set):
+    """The set's join masks and the coordinate-system search set up once on
+    them, for the unforced search and every forced one."""
+    ok = _join_masks(plane_set)
+    return ok, _system_search(plane_set.gr.space, plane_set.gr.k, ok)
 
 
 def _shared_first_system(plane_set, forced=None):
     """The first system inside the set, through the plane `forced` when
     given, as the shared object; or None."""
-    idxs = _first_system(plane_set, _join_masks(plane_set), forced)
-    return None if idxs is None else _shared_system(plane_set.gr.space, idxs)
+    space, k = plane_set.gr.space, plane_set.gr.k
+    idxs = next(_systems_within(space, k, _join_masks(plane_set), forced), None)
+    return None if idxs is None else _shared_system(space, idxs)
 
 
-def _completing_planes(plane_set, ok):
+def _completing_planes(plane_set, ok, search):
     """The planes the greedy completion adds, in canonical order: each outside
     plane that no coordinate system realizes together with the planes present,
-    ORed into the join masks `ok` as it is yielded.  None is yielded exactly
-    when every outside plane completes some inside subset."""
+    ORed into the join masks `ok` as it is yielded, so that `search`, set up on
+    `ok`, counts it for every later plane.  None is yielded exactly when every
+    outside plane completes some inside subset."""
     space, k = plane_set.gr.space, plane_set.gr.k
     masks = space.point_masks(k)
     faces = space.incidence(k - 1, k)
     for l in plane_set.complement():
-        if next(_systems_within(space, k, ok, l), None) is None:
+        if next(search(l), None) is None:
             for w in faces[l]:
                 ok[w] |= masks[l]
             yield l
@@ -100,8 +104,8 @@ def is_maximal_irregular(plane_set):
     maximal regular set."""
     if is_regular(plane_set) is not None:
         return False
-    ok = _join_masks(plane_set)
-    return _first_system(plane_set, ok) is None and next(_completing_planes(plane_set, ok), None) is None
+    ok, search = _inside_search(plane_set)
+    return next(search(), None) is None and next(_completing_planes(plane_set, ok, search), None) is None
 
 
 def complete_to_maximal_irregular(plane_set):
@@ -110,10 +114,10 @@ def complete_to_maximal_irregular(plane_set):
     A plane may be added exactly when no coordinate system realizes it
     together with planes already present, and one pass yields a maximal
     irregular superset; the input itself when it is already maximal."""
-    ok = _join_masks(plane_set)
-    if is_regular(plane_set) is not None or _first_system(plane_set, ok) is not None:
+    ok, search = _inside_search(plane_set)
+    if is_regular(plane_set) is not None or next(search(), None) is not None:
         raise NotIrregularError("completion starts from an irregular set")
-    added = list(_completing_planes(plane_set, ok))
+    added = list(_completing_planes(plane_set, ok, search))
     return plane_set.union(PlaneSet(plane_set.gr, added)) if added else plane_set
 
 
@@ -331,12 +335,12 @@ def restricted_status(plane_set, t):
         images = [orth_complement(omega, l) for l in trace.members()]
         sub_space, members = _embed_top(space, images, t_star)
         sub = PlaneSet.from_subspaces(sub_space.grassmannian(space.n - k), members)
-    ok = _join_masks(sub)
-    if _first_system(sub, ok) is not None:
+    ok, search = _inside_search(sub)
+    if next(search(), None) is not None:
         return STATUS_CONTAINS_MAXIMAL_REGULAR
     if is_regular(sub) is not None:
         return STATUS_REGULAR
-    if next(_completing_planes(sub, ok), None) is None:
+    if next(_completing_planes(sub, ok, search), None) is None:
         return STATUS_MAXIMAL_IRREGULAR
     return STATUS_IRREGULAR
 

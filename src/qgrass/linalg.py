@@ -21,6 +21,7 @@ def _rref_rows(field, rows, ncols):
     """In-place style rref on a list of row lists; returns (rows, rank, pivots)."""
     R = [list(r) for r in rows]
     m = len(R)
+    add, mul, neg = field._add, field._mul, field._neg
     pivots = []
     r = 0
     for c in range(ncols):
@@ -33,19 +34,16 @@ def _rref_rows(field, rows, ncols):
             continue
         R[r], R[pr] = R[pr], R[r]
         if R[r][c] != 1:
-            inv = field.inv(R[r][c])
-            mul = field._mul[inv]
-            R[r] = [mul[x] for x in R[r]]
+            scale = mul[field.inv(R[r][c])]
+            R[r] = [scale[x] for x in R[r]]
         row = R[r]
         for i in range(m):
             if i != r and R[i][c]:
-                f = R[i][c]
                 Ri = R[i]
-                mulf = field._mul[f]
-                sub = field.sub
+                minus_f = mul[neg[Ri[c]]]     # Ri - f row = Ri + (-f) row, by table
                 for j in range(c, ncols):
                     if row[j]:
-                        Ri[j] = sub(Ri[j], mulf[row[j]])
+                        Ri[j] = add[Ri[j]][minus_f[row[j]]]
         pivots.append(c)
         r += 1
         if r == m:

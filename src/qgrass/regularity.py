@@ -274,7 +274,8 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
     coordinate k-plane lies in that set, `forced` being one more, exempt from
     the membership test; in an unforced search, every plane of G_k in
     `members` is a coordinate plane.  `ok=None` tests no membership: at
-    k = 1 with no members the search walks all systems.
+    k = 1 with no members the search walks all systems.  The one-search use
+    of `_system_search`, which sets the search up once for many planes.
 
     The span of the chosen lines is a point bitmask (`Space.span_with`);
     beside it, `compat` masks the lines that join every (k-1)-subset of the
@@ -295,19 +296,23 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
     points, whose span is the plane itself, with set-up kept per plane
     (`_forced_start`).
     """
+    return _system_search(space, k, ok)(forced, members)
+
+
+def _system_search(space, k, ok=None):
+    """The search of `_systems_within` on `ok`, set up once: a function of
+    (forced=None, members=()) returning the same iterator.  It reads `ok` as
+    each search runs, so entries ORed in between searches count."""
     n = space.n
     join_idx = space.line_join_index
     span_with = space.span_with
 
     def narrow(compat, chosen, t):
-        # t itself is the (k-1)-plane at k = 2
-        if k == 2:
-            return compat & ok[t]
         for sub in combinations(chosen, k - 2):
             compat &= ok[join_idx(sub + (t,), k - 1)]
         return compat
 
-    def extend(chosen, mask, points, compat, above, members):
+    def extend(chosen, mask, points, compat, above, members, tails):
         slots = n - len(chosen)
         cand = compat & ~mask & above & tails[slots]
         while cand:
@@ -317,7 +322,7 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
             free = 0    # with no slot left, each member still short must hold t
             if slots > 1:
                 above_t = -(low << 1)
-                # narrowed inline at k = 2: a call per node would cost more than the AND
+                # narrowed inline at k = 2 (t is the (k-1)-plane): a call would cost more than the AND
                 narrowed = compat if narrow is None else compat & ok[t] if k == 2 else narrow(compat, chosen, t)
                 # with no member to prune by, a child with no candidate is neither spanned nor run
                 if not members and not narrowed & ~mask & above_t & tails[slots - 1]:
@@ -335,7 +340,7 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
                 left.append((plane, need))
             else:
                 if slots > 2:
-                    yield from extend(chosen + (t,), span, span_points, narrowed, above_t, left)
+                    yield from extend(chosen + (t,), span, span_points, narrowed, above_t, left, tails)
                     continue
                 # each bit of `last` completes a system (t itself when one slot was free)
                 last, head = (free & tails[1], chosen + (t,)) if slots == 2 else (low, chosen)
@@ -346,31 +351,35 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
                     last ^= bit
                     yield head + (bit.bit_length() - 1,)
 
-    def through_forced(mask, points, bases):
+    def through_forced(mask, points, bases, tails):
         for base in bases:
-            compat = start
-            if narrow is not None:
+            if narrow is None:
+                compat = -1 if ok is None else ok[0]
+            elif k == 2:
+                compat = ok[base[0]] & ok[base[1]]
+            else:
+                compat = -1
                 for i, t in enumerate(base):
                     compat = narrow(compat, base[:i], t)
-            for system in extend(base, mask, points, compat, -1, ()):
+            for system in extend(base, mask, points, compat, -1, (), tails):
                 yield tuple(sorted(system))
 
-    # set once per search, not tested per node: no narrowing without a set, or at k = 1
-    if ok is None:
-        narrow, start = None, -1        # -1: every line
-    elif k == 1:
-        narrow, start = None, ok[0]
-    else:
-        start = _viable_lines(space, ok) if k == 2 and forced is None else -1
-    if forced is None:
+    def search(forced=None, members=()):
+        if forced is not None:
+            tails, mask, points, bases = _forced_start(space, k, forced)
+            return through_forced(mask, points, bases, tails)
+        start = -1 if ok is None else ok[0] if k == 1 else _viable_lines(space, ok) if k == 2 else -1
         # fewer than n candidates leave every tail empty: no search is run
         lines = range(len(space.grassmannian(1)))
         tails = _tail_masks(n, lines if start == -1 else [t for t in lines if start >> t & 1])
         masks = space.point_masks(k)
         # returned, not delegated to: one generator level less on every yield
-        return extend((), 0, (), start, -1, [(masks[p], k) for p in members])
-    tails, mask, points, bases = _forced_start(space, k, forced)
-    return through_forced(mask, points, bases)
+        return extend((), 0, (), start, -1, [(masks[p], k) for p in members], tails)
+
+    # set once at set-up, not tested per node: no narrowing without a set, or at k = 1
+    if ok is None or k == 1:
+        narrow = None
+    return search
 
 
 def _tail_masks(n, cands):
@@ -406,7 +415,7 @@ def _viable_lines(space, ok):
     on the pool yields the same systems in the same order.
     """
     n = space.n
-    hyperplanes, through = space.point_masks(n - 1), space.incidence(n - 1, 1)
+    outside = _hyperplane_complements(space)
     pool = reduce(or_, ok)
     changed = True
     while changed:
@@ -417,10 +426,21 @@ def _viable_lines(space, ok):
             rest ^= low
             t = low.bit_length() - 1
             joins = ok[t] & pool
-            if joins.bit_count() < n or any(joins & ~hyperplanes[h] == 0 for h in through[t]):
+            # in a hyperplane through t: joins & its complement is 0
+            if joins.bit_count() < n or not all(map(joins.__and__, outside[t])):
                 pool ^= low
                 changed = True
     return pool
+
+
+@cache
+def _hyperplane_complements(space):
+    """By line t, the complements of the point masks of the hyperplanes
+    through t, one shared int per hyperplane (cached)."""
+    n = space.n
+    full = (1 << len(space.grassmannian(1))) - 1
+    outside = [full ^ mask for mask in space.point_masks(n - 1)]
+    return [[outside[h] for h in through] for through in space.incidence(n - 1, 1)]
 
 
 _MAX_SYSTEMS = 100_000     # keeps F_2^5 (83,328 systems) and F_3^4 (63,180)

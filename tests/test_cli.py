@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import qgrass
+from qgrass import irregularity
 from qgrass.cli import (
     ParseError,
     main,
@@ -145,6 +146,24 @@ def test_cmd_analyze_irregular_and_characteristics(tmp_path, capsys):
     assert "line-span-dim 2" in out
     payload = json.loads(out.splitlines()[-1].removeprefix("REPORT-JSON "))
     assert payload["certificates"]["line_span"] == [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def test_analyze_irregular_searches_once_for_a_maximal_regular_subset(monkeypatch, capsys):
+    # the not-irregular verdict and its certificate come from one unforced
+    # search inside the set
+    searches = []
+    search = irregularity._systems_within
+
+    def counted(space, k, ok=None, forced=None, members=()):
+        searches.append(forced)
+        return search(space, k, ok, forced, members)
+
+    monkeypatch.setattr(irregularity, "_systems_within", counted)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    assert main(["analyze", "--in", "superset-2-4-2.planeset", "--mode", "irregular"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("not-irregular") and "maximal_regular_witness" in out
+    assert searches == [None]
 
 
 def test_cmd_analyze_degree_of_extremal(tmp_path, capsys):

@@ -47,8 +47,12 @@ split off inside rref rows with the recursion through `Subspace.vectors`,
 `orth_complement` and `meet`; and the untwisted `is_symplectic`, read off the
 Gram, and `evaluate` with the line scan and the per-entry automorphism
 calls; and the independence scan by mask sums over a plain inverse list
-with the two `_row_planes` scans through `GrassmannMap.inverse`.  The
-replaced implementations are kept here as reference oracles.
+with the two `_row_planes` scans through `GrassmannMap.inverse`; and the
+greedy completion, maximality and restricted status, which set the search
+up once per set, with the search set up anew for every outside plane; and
+`_rref_rows`, which eliminates by field tables, with one `field.sub` call
+per entry.  The replaced implementations are kept here as reference
+oracles.
 """
 
 import copy
@@ -122,8 +126,9 @@ from qgrass.irregularity import (
     is_maximal_irregular,
     planes_cohyperplanar,
     planes_meeting,
+    restricted_status,
 )
-from qgrass.linalg import EchelonBasis, Mat
+from qgrass.linalg import EchelonBasis, Mat, _rref_rows
 from qgrass.maps import SemilinearMap, _row_planes, induced_map, induces
 from qgrass.reconstruction import (
     AutomorphismMismatchError,
@@ -394,6 +399,41 @@ def echelon_complete(plane_set):
         ) is None:
             current.add(l)
     return PlaneSet(gr, current)
+
+
+def per_plane_search(space, k, ok):
+    """The inside-set search set up anew for every plane: one
+    `_systems_within(space, k, ok, l)` per outside plane, as the greedy
+    completion ran before it set the search up once per set."""
+    return lambda forced=None, members=(): _systems_within(space, k, ok, forced, members)
+
+
+def field_sub_rref_rows(field, rows, ncols):
+    """`_rref_rows` with one `field.sub` call per eliminated entry."""
+    R = [list(r) for r in rows]
+    m = len(R)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, m) if R[i][c]), -1)
+        if pr < 0:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        if R[r][c] != 1:
+            mul = field._mul[field.inv(R[r][c])]
+            R[r] = [mul[x] for x in R[r]]
+        row = R[r]
+        for i in range(m):
+            if i != r and R[i][c]:
+                mulf = field._mul[R[i][c]]
+                for j in range(c, ncols):
+                    if row[j]:
+                        R[i][j] = field.sub(R[i][j], mulf[row[j]])
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R, r, tuple(pivots)
 
 
 def line_indices(system):
@@ -1338,6 +1378,90 @@ def test_completion_matches_echelon_search(q, n, k):
         assert (completed is ps) == (completed == ps)
         assert is_maximal_irregular(completed) and complete_to_maximal_irregular(completed) is completed
     assert 0 < witnesses < outside
+
+
+def restriction_carriers(space, k, rng):
+    """Two seeded subspaces of each dimension from 1 to n-1 but k."""
+    return [
+        space.grassmannian(m)[rng.randrange(len(space.grassmannian(m)))]
+        for m in range(1, space.n) if m != k for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 5, 3), (2, 4, 3)])
+def test_search_set_up_once_per_set_matches_per_plane_search(monkeypatch, q, n, k):
+    # the sets of test_completion_matches_echelon_search; the completed sets
+    # make is_maximal_irregular answer both ways
+    space = Space.get(q, n)
+    rng = random.Random(f"completion:{q}:{n}:{k}")
+    sets = irregular_sets(space, k, rng)
+    carriers = restriction_carriers(space, k, rng)
+    sets += [complete_to_maximal_irregular(ps) for ps in sets]
+
+    def decide(ps):
+        return (
+            complete_to_maximal_irregular(ps),
+            is_maximal_irregular(ps),
+            [restricted_status(ps, t) for t in carriers],
+        )
+
+    got = [decide(ps) for ps in sets]
+    monkeypatch.setattr(irregularity, "_system_search", per_plane_search)
+    assert got == [decide(ps) for ps in sets]
+    half = len(sets) // 2
+    for ps, (completed, maximal, _) in zip(sets[:half], got):
+        assert completed == echelon_complete(ps)
+        assert maximal == (completed == ps)
+    assert {maximal for _, maximal, _ in got} == {False, True}
+    assert len({status for *_, statuses in got for status in statuses}) >= 2
+
+
+def test_maximality_completion_and_status_set_up_one_inside_search(monkeypatch):
+    # the search on the set's join masks is set up once per call, however many
+    # outside planes it is run for; covering searches (no join masks) aside
+    setups = []
+    set_up = regularity._system_search
+
+    def counted(space, k, ok=None):
+        if ok is not None:
+            setups.append(k)
+        return set_up(space, k, ok)
+
+    monkeypatch.setattr(regularity, "_system_search", counted)
+    monkeypatch.setattr(irregularity, "_system_search", counted)
+    space = Space.get(2, 5)
+    rng = random.Random("one-set-up")
+    carriers = restriction_carriers(space, 2, rng)
+    for ps in irregular_sets(space, 2, rng):
+        for decide in (is_maximal_irregular, complete_to_maximal_irregular):
+            setups.clear()
+            decide(ps)
+            assert len(setups) == 1
+        for t in carriers:
+            setups.clear()
+            restricted_status(ps, t)
+            assert len(setups) == 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_rref_rows_match_field_sub_elimination(q):
+    f = gf_field(q)
+    rng = random.Random(f"rref-rows:{q}")
+    ranks = set()
+    for _ in range(80):
+        m, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [[rng.randrange(q) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.5:
+            # a dependent row: a combination of two others
+            a, b, c = rng.randrange(q), rng.randrange(q), rng.sample(range(m), 2)
+            rows.append([f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(rows[c[0]], rows[c[1]])])
+        before = [list(r) for r in rows]
+        got = _rref_rows(f, rows, ncols)
+        assert got == field_sub_rref_rows(f, rows, ncols)
+        assert rows == before
+        ranks.add((got[1], len(rows)))
+    assert any(rank < m for rank, m in ranks) and any(0 < rank == m for rank, m in ranks)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 1), (2, 5, 4), (3, 3, 1), (2, 5, 3)])
