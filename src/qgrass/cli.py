@@ -27,7 +27,7 @@ from math import comb
 
 from .gf import UnsupportedOrderError
 from .grassmann import GrassmannMap, PlaneSet, Space, Subspace, TooLargeError, _subspace_cert, gaussian_binomial
-from .irregularity import characteristics, contains_maximal_regular, is_maximal_irregular
+from .irregularity import _completing_planes, _inside_search, characteristics
 from .reconstruction import (
     AutomorphismMismatchError,
     NotDistancePreservingError,
@@ -36,7 +36,7 @@ from .reconstruction import (
     chow_classify,
     regular_classify,
 )
-from .regularity import NotRegularError, _degree, associated_systems, is_regular
+from .regularity import CoordinateSystem, NotRegularError, _degree, associated_systems, is_regular
 
 SCHEMA = "qgrass-report/1"
 
@@ -250,13 +250,15 @@ def cmd_analyze(args):
             verdicts.append(f"degree {d}")
             certificates["exact_superset"] = [_subspace_cert(s) for s in witness.members()]
     elif args.mode == "irregular":
-        # one search for a maximal regular subset serves the verdict and the certificate
-        witness = contains_maximal_regular(ps)
-        irr = witness is None and is_regular(ps) is None
+        # one inside search: unforced for the verdict and certificate, forced for maximality
+        ok, search = _inside_search(ps)
+        inside = next(search(), None)
+        irr = inside is None and is_regular(ps) is None
         verdicts.append("irregular" if irr else "not-irregular")
         if irr:
-            verdicts.append("maximal" if is_maximal_irregular(ps) else "not-maximal")
-        elif witness is not None:
+            verdicts.append("maximal" if next(_completing_planes(ps, ok, search), None) is None else "not-maximal")
+        elif inside is not None:
+            witness = CoordinateSystem.from_line_indices(ps.gr.space, inside)
             certificates["maximal_regular_witness"] = _system_cert(witness)
     elif args.mode == "characteristics":
         ch = characteristics(ps)

@@ -53,9 +53,8 @@ from .reconstruction import ftpg_reconstruct, is_independence_preserving
 from .regularity import (
     CoordinateSystem,
     _degree,
-    _systems_within,
+    _systems_by_plane,
     all_coordinate_systems,
-    associated_systems,
     exactness_threshold,
     hypergraph_view,
     is_regular,
@@ -194,6 +193,19 @@ def _regular_subset_sweep(space, k, min_size, systems=None):
                     yield PlaneSet(planes.gr, subset)
 
 
+def _swept_systems(plane_set):
+    """`associated_systems` of a swept set, read off the space's plane ->
+    systems index: the set bits of the AND over the members, lowest first."""
+    space, k = plane_set.gr.space, plane_set.gr.k
+    systems = all_coordinate_systems(space)
+    common = reduce(and_, map(_systems_by_plane(space, k).__getitem__, plane_set.indices), (1 << len(systems)) - 1)
+    found = []
+    while common:
+        found.append(systems[(common & -common).bit_length() - 1])
+        common &= common - 1
+    return found
+
+
 def _degree_sweep(sweep, top, shapes, zero_above=None):
     """The degree theorems' loop: every swept set has degree at most `top`,
     equal to it exactly when one of its axis-set views (one per associated
@@ -203,7 +215,7 @@ def _degree_sweep(sweep, top, shapes, zero_above=None):
     checked = extremal = 0
     for rp in sweep:
         checked += 1
-        systems = associated_systems(rp)
+        systems = _swept_systems(rp)
         d, _ = _degree(rp, systems)
         shape = any(
             frozenset(frozenset(a) for a in hypergraph_view(rp, s)) in shapes for s in systems
@@ -378,7 +390,7 @@ def check_thm_2_2_2(q, n, k, rng):
         checked = 0
         for rp in _regular_subset_sweep(space, 1, 0):
             checked += 1
-            d, _ = _degree(rp, associated_systems(rp))
+            d, _ = _degree(rp, _swept_systems(rp))
             if d != n - len(rp):
                 return CheckResult(
                     "thm-2.2.2",
@@ -407,7 +419,7 @@ def check_thm_2_2_2(q, n, k, rng):
     else:
         _require(q == 2 and n == 5 and k in (2, 3), "(q, n) = (2, 5), k in {2, 3}")
         threshold = comb(n - 1, k - 1) if n - k < k else comb(n - 1, k)
-        base = CoordinateSystem.from_line_indices(space, next(_systems_within(space, 1)))
+        base = all_coordinate_systems(space)[0]
         systems = [base]
         for _ in range(10):
             h = SemilinearMap(space.field, random_invertible(space.field, n, rng))

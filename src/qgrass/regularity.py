@@ -129,12 +129,15 @@ def associated_systems(plane_set, limit=None):
     in canonical order; empty exactly when the set is not regular.  With a
     limit, the first `limit` of them (none when it is negative): the search
     stops at the last one taken.  Systems are shared and read-only: while
-    one is held, every result naming it holds it."""
+    one is held, every result naming it holds it.  The empty set is refused
+    above `_MAX_SYSTEMS` systems, unless the limit is at most that."""
     _require_middle_dimension(plane_set.gr)
     space, n, k = plane_set.gr.space, plane_set.gr.n, plane_set.gr.k
     # a regular set lies among one system's C(n, k) coordinate k-planes
     if len(plane_set) > comb(n, k):
         return []
+    if not plane_set.indices and (limit is None or limit > _MAX_SYSTEMS):
+        _require_few_systems(space)
     found = _systems_within(space, k, members=plane_set.indices)
     return [_shared_system(space, i) for i in islice(found, None if limit is None else max(limit, 0))]
 
@@ -287,8 +290,10 @@ def _systems_within(space, k, ok=None, forced=None, members=()):
     free slots.  A chosen line t is narrowed before it is spanned, and with
     no member left spanned only when the child keeps a candidate outside the
     parent's span (bit-parallel filtering, Knuth, TAOCP 4A, 7.1.3); t is
-    dropped when a member needs more lines than the free slots, or than its
-    mask holds among the child's candidates.  The node that picks the last
+    dropped unspanned when a member needs more lines than its mask holds
+    among the parent's candidates after t, and once spanned when one needs
+    more than the free slots, or than it holds among the child's candidates
+    (which the child's span only thins).  The node that picks the last
     but one line yields the systems itself: each candidate for the last slot
     that lies in every member still short completes one.  An unforced search
     at k = 2 inside a set starts from `_viable_lines` instead of every line;
@@ -324,11 +329,22 @@ def _system_search(space, k, ok=None):
                 above_t = -(low << 1)
                 # narrowed inline at k = 2 (t is the (k-1)-plane): a call would cost more than the AND
                 narrowed = compat if narrow is None else compat & ok[t] if k == 2 else narrow(compat, chosen, t)
-                # with no member to prune by, a child with no candidate is neither spanned nor run
-                if not members and not narrowed & ~mask & above_t & tails[slots - 1]:
-                    continue
+                pool = narrowed & above_t & ~mask
+                if not members:
+                    # with no member to prune by, a child with no candidate is neither spanned nor run
+                    if not pool & tails[slots - 1]:
+                        continue
+                else:
+                    # a member short of lines among the parent's candidates after t is short in the child
+                    short = False
+                    for plane, need in members:
+                        if (plane & pool).bit_count() < need - (plane & low > 0):
+                            short = True
+                            break
+                    if short:
+                        continue
                 span, span_points = span_with(mask, points, t)
-                free = narrowed & above_t & ~span
+                free = pool & ~span
             left = []
             for plane, need in members:
                 if plane & low:
@@ -446,15 +462,31 @@ def _hyperplane_complements(space):
 _MAX_SYSTEMS = 100_000     # keeps F_2^5 (83,328 systems) and F_3^4 (63,180)
 
 
-@cache
-def all_coordinate_systems(space):
-    """Every coordinate system of the space, canonically ordered (cached).
-    Above `_MAX_SYSTEMS` of them, |GL(n, q)| / ((q - 1)^n n!) (ordered bases
-    up to scaling and order), `TooLargeError` is raised before any search."""
+def _require_few_systems(space):
+    """Refuse over `_MAX_SYSTEMS` systems, |GL(n, q)| / ((q - 1)^n n!), before any search."""
     q, n = space.field.q, space.n
     if (count := prod(q**n - q**i for i in range(n)) // ((q - 1) ** n * factorial(n))) > _MAX_SYSTEMS:
         raise TooLargeError(f"F_{q}^{n} has {count} coordinate systems, above {_MAX_SYSTEMS}")
+
+
+@cache
+def all_coordinate_systems(space):
+    """Every coordinate system of the space, canonically ordered (cached)."""
+    _require_few_systems(space)
     return [CoordinateSystem.from_line_indices(space, idxs) for idxs in _systems_within(space, 1)]
+
+
+@cache
+def _systems_by_plane(space, k):
+    """By plane of G_k, the bitset over `all_coordinate_systems(space)` of the
+    systems having it as a coordinate k-plane (cached).  For the degree
+    sweeps; a one-off decision runs the covering search instead."""
+    systems = all_coordinate_systems(space)
+    rows = [bytearray((len(systems) + 7) // 8) for _ in range(len(space.grassmannian(k)))]
+    for pos, system in enumerate(systems):
+        for chosen in combinations(system.line_indices, k):
+            rows[space.line_join_index(chosen, k)][pos >> 3] |= 1 << (pos & 7)
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 @cache

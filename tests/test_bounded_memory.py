@@ -7,8 +7,9 @@ plane set per coordinate system (G_2(F_3^5) has 123,845,436 systems), and
 the similarity filter must not read the whole distance matrix (11,011^2
 entries at G_2(F_3^6)); either raises `MemoryError` under the cap.  The
 list of every coordinate system is refused with `TooLargeError` before it
-is searched (27,998,208 systems of F_2^6), and so is the distance matrix of
-G_2(F_4^5) (5,797 planes, 33.6 M entries), also when a library
+is searched (27,998,208 systems of F_2^6), as are the associated systems and
+the degree of the empty set there, which every system covers; so is the
+distance matrix of G_2(F_4^5) (5,797 planes, 33.6 M entries), also when a library
 `chow_classify` of a corrupted table there falls back to the distance scan.
 """
 
@@ -79,6 +80,29 @@ def test_all_coordinate_systems_refuses_f2_6_and_f3_5_under_a_memory_cap():
         "F_2^6 has 27998208 coordinate systems, above 100000",
         "F_3^5 has 123845436 coordinate systems, above 100000",
         "F_3^5 has 123845436 coordinate systems, above 100000",
+    ]
+
+
+EMPTY_SET = CAP + """
+from qgrass.grassmann import PlaneSet, Space, TooLargeError
+from qgrass.regularity import associated_systems, degree, is_exact, is_regular
+empty = PlaneSet(Space.get(2, 6).grassmannian(2), [])
+for call in (associated_systems, lambda ps: associated_systems(ps, limit=100_001), degree):
+    try:
+        call(empty)
+    except TooLargeError as exc:
+        print(exc)
+print(is_regular(empty).line_indices, is_exact(empty), len(associated_systems(empty, limit=100)))
+"""
+
+
+def test_empty_set_systems_and_degree_refused_at_f2_6_under_a_memory_cap():
+    # refused by the system count before any search; a limit of at most
+    # 100,000 (is_regular, is_exact) still searches
+    out = run_child(["-c", EMPTY_SET], timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == ["F_2^6 has 27998208 coordinate systems, above 100000"] * 3 + [
+        "(0, 1, 3, 7, 15, 31) False 100"
     ]
 
 

@@ -1,3 +1,4 @@
+import glob
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import qgrass
-from qgrass import irregularity
+from qgrass import cli, irregularity, regularity
 from qgrass.cli import (
     ParseError,
     main,
@@ -148,22 +149,75 @@ def test_cmd_analyze_irregular_and_characteristics(tmp_path, capsys):
     assert payload["certificates"]["line_span"] == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
+def counted_inside_searches(monkeypatch):
+    """Patch the inside search's set-up, its join masks and its search: one
+    list per set-up, of the planes its searches are forced through (None for
+    the unforced search); and a list with one entry per join-mask build."""
+    setups, builds = [], []
+    join_masks, setup = irregularity._join_masks, irregularity._system_search
+
+    def counted_masks(plane_set):
+        builds.append(plane_set)
+        return join_masks(plane_set)
+
+    def counted(space, k, ok=None):
+        search = setup(space, k, ok)
+        forced = []
+        setups.append(forced)
+
+        def counting(plane=None, members=()):
+            forced.append(plane)
+            return search(plane, members)
+
+        return counting
+
+    monkeypatch.setattr(irregularity, "_join_masks", counted_masks)
+    monkeypatch.setattr(irregularity, "_system_search", counted)
+    return setups, builds
+
+
 def test_analyze_irregular_searches_once_for_a_maximal_regular_subset(monkeypatch, capsys):
     # the not-irregular verdict and its certificate come from one unforced
     # search inside the set
-    searches = []
-    search = irregularity._systems_within
-
-    def counted(space, k, ok=None, forced=None, members=()):
-        searches.append(forced)
-        return search(space, k, ok, forced, members)
-
-    monkeypatch.setattr(irregularity, "_systems_within", counted)
+    setups, builds = counted_inside_searches(monkeypatch)
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
     assert main(["analyze", "--in", "superset-2-4-2.planeset", "--mode", "irregular"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("not-irregular") and "maximal_regular_witness" in out
-    assert searches == [None]
+    assert setups == [[None]] and len(builds) == 1
+
+
+def test_analyze_irregular_sets_up_the_inside_search_once(monkeypatch, capsys):
+    # on an irregular set the verdict's unforced search and the maximality
+    # verdict's forced searches share one set-up, and regularity is decided once
+    setups, builds = counted_inside_searches(monkeypatch)
+    decided = []
+    covering = regularity.associated_systems
+
+    def counted(plane_set, limit=None):
+        decided.append(limit)
+        return covering(plane_set, limit)
+
+    monkeypatch.setattr(regularity, "associated_systems", counted)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    assert main(["analyze", "--in", "meeting-2-4-2.planeset", "--mode", "irregular"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["irregular", "not-maximal"]
+    assert len(setups) == len(builds) == 1 and decided == [1]
+    assert setups[0][0] is None and len(setups[0]) > 1 and None not in setups[0][1:]
+
+
+def test_analyze_and_a_one_off_decision_build_no_plane_index(monkeypatch, capsys):
+    # the plane -> systems index serves the degree sweeps only: analyze in
+    # every mode and a one-off is_regular run the covering search and pay no
+    # build, which takes about a second at F_2^5
+    regularity._systems_by_plane.cache_clear()
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    for path in sorted(glob.glob("*.planeset")):
+        for mode in cli.MODE_K:
+            assert main(["analyze", "--in", path, "--mode", mode]) in (0, 1)
+    g2 = Space.get(2, 5).grassmannian(2)
+    assert qgrass.is_regular(PlaneSet(g2, [0, 1])) is not None
+    assert regularity._systems_by_plane.cache_info().currsize == 0
 
 
 def test_cmd_analyze_degree_of_extremal(tmp_path, capsys):

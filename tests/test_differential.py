@@ -146,15 +146,17 @@ from qgrass.reconstruction import (
     regular_classify,
     regular_violation,
 )
-from qgrass import irregularity, reconstruction, regularity
+from qgrass import harness, irregularity, reconstruction, regularity
 from qgrass.regularity import (
     AxisProfile,
     AxisRecord,
     CoordinateSystem,
     NotRegularError,
     _systems_within,
+    all_coordinate_systems,
     associated_systems,
     degree,
+    exactness_threshold,
     hypergraph_view,
     is_exact,
     is_maximal_regular,
@@ -2222,15 +2224,16 @@ def test_size_guard_runs_no_span_work(monkeypatch):
 @pytest.mark.parametrize(
     "q,n,k,members,systems,spans",
     [
-        (2, 4, 2, (0, 1, 2), 8, 68),
-        (2, 4, 1, (0, 1), 48, 35),
-        (2, 5, 2, (0, 1, 2, 7), 32, 181),     # four coordinate planes of the first system
-        (3, 4, 2, (0, 1, 2, 13), 3, 355),
+        (2, 4, 2, (0, 1, 2), 8, 9),
+        (2, 4, 1, (0, 1), 48, 13),
+        (2, 5, 2, (0, 1, 2, 7), 32, 11),     # four coordinate planes of the first system
+        (3, 4, 2, (0, 1, 2, 13), 3, 24),
     ],
 )
 def test_covering_search_span_work(monkeypatch, q, n, k, members, systems, spans):
-    # deterministic work counts: a lost pruning rule, or a last line spanned
-    # rather than read off the candidates, changes them
+    # deterministic work counts: a lost pruning rule, a member tested only
+    # after its line is spanned, or a last line spanned rather than read off
+    # the candidates, changes them
     space = Space.get(q, n)
     ps = PlaneSet(space.grassmannian(k), members)
     space.point_masks(k)
@@ -2323,6 +2326,28 @@ def test_covering_search_matches_echelon_oracle_on_seeded_sets(q, n, k):
     regular = sum(regularity.is_regular(ps) is not None for ps in sets)
     assert 0 < regular < len(sets)
     assert_covering_search_matches_echelon_oracle(space, sets)
+
+
+def assert_plane_index_matches_covering_search(plane_sets):
+    for ps in plane_sets:
+        want = [s.line_indices for s in associated_systems(ps)]
+        assert [s.line_indices for s in harness._swept_systems(ps)] == want, ps.indices
+
+
+def test_plane_index_matches_covering_search_on_the_thm_2_2_1_sweep():
+    space = Space.get(2, 4)
+    assert_plane_index_matches_covering_search(_regular_subset_sweep(space, 2, exactness_threshold(4, 2)))
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (2, 5, 3), (3, 4, 2), (2, 4, 1)])
+def test_plane_index_matches_covering_search_on_seeded_sets(q, n, k):
+    # the covering sets, the empty set (every system) and the sweep's sets
+    # over two random systems, whose associated systems the index reads
+    space = Space.get(q, n)
+    rng = random.Random(f"plane-index:{q}:{n}:{k}")
+    swept = list(_regular_subset_sweep(space, k, 1, rng.sample(all_coordinate_systems(space), 2)))
+    sets = covering_sets(space, k, rng) + [PlaneSet(space.grassmannian(k), [])]
+    assert_plane_index_matches_covering_search(sets + rng.sample(swept, min(len(swept), 40)))
 
 
 def contains_hypergraph_view(plane_set, system):

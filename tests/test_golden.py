@@ -24,12 +24,13 @@ one covering search per call.
 
 The `verify-*` cases pin the report and exit code of `qgrass verify` for
 every check id at a cheap point: (2,4,2) for each id whose envelope takes
-it, except thm-2.2.1 and thm-2.2.2, which take 19 s and 30 s there and are
-pinned through criteria 4 and 5 of the acceptance suite instead; thm-1.3.1
-at (2,3,1); the line-set branch of thm-2.2.2 at (2,4,1); thm-3.2.3 at
-(2,5,2) and thm-3.2.4 at (2,5,3); one infeasible scope (thm-1.3.1 at
-(2,4,1), exit 3) and one unknown id (exit 2).  They were recorded before the
-harness merged its duplicate sweeps, shape tests and construction checks.
+it; thm-1.3.1 at (2,3,1); the line-set branch of thm-2.2.2 at (2,4,1);
+thm-3.2.3 at (2,5,2) and thm-3.2.4 at (2,5,3); one infeasible scope
+(thm-1.3.1 at (2,4,1), exit 3) and one unknown id (exit 2).  They were
+recorded before the harness merged its duplicate sweeps, shape tests and
+construction checks, except thm-2.2.1 at (2,4,2) and thm-2.2.2 at (2,4,2),
+(2,5,2) and (2,5,3), recorded while the degree sweeps still ran one
+covering search per swept set (4, 6, 35 and 19 s per process).
 prop-1.1.2 and prop-1.4.2 are also pinned at (3,4,2), the other point of the
 CLI corpus; those two were recorded while the symplectic splitting still
 went through `Subspace` meets and the adjacent families were still read off
@@ -70,8 +71,8 @@ for name in ("regular", "meeting", "superset"):
 VERIFY_POINTS = [
     (cid, "2-4-2")
     for cid in (
-        "remark-2.2.1", "prop-1.1.2", "prop-1.4.2", "prop-3.1.3", "prop-3.2.1", "thm-3.2.1",
-        "thm-3.2.2", "thm-3.2.3", "thm-3.2.4", "lemma-3.2.1", "cor-3.2.2",
+        "remark-2.2.1", "prop-1.1.2", "prop-1.4.2", "prop-3.1.3", "prop-3.2.1", "thm-2.2.1",
+        "thm-2.2.2", "thm-3.2.1", "thm-3.2.2", "thm-3.2.3", "thm-3.2.4", "lemma-3.2.1", "cor-3.2.2",
     )
 ] + [
     ("prop-1.1.2", "3-4-2"),
@@ -79,6 +80,8 @@ VERIFY_POINTS = [
     ("thm-1.3.1", "2-3-1"),
     ("thm-1.3.1", "2-4-1"),
     ("thm-2.2.2", "2-4-1"),
+    ("thm-2.2.2", "2-5-2"),
+    ("thm-2.2.2", "2-5-3"),
     ("thm-3.2.3", "2-5-2"),
     ("thm-3.2.4", "2-5-3"),
 ]
